@@ -321,7 +321,7 @@ def main() -> None:
         # same plan; the optimizer costs the graph probe against the
         # exact scan and explain() shows the pick with its expected
         # recall at the chosen beam width
-        db.sql("CREATE INDEX ON detections (hist) USING hnsw (m = 8, ef = 48)")
+        db.sql("CREATE INDEX ON detections (hist) USING HNSW (m = 8, ef = 48)")
         probe = sample["hist"]
         lookalike = db.scan("detections").similarity_search(
             probe, 3, attr="hist"

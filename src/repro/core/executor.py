@@ -4,15 +4,20 @@ DeepLens queries are dominated by two waits — per-patch UDF inference and
 blob I/O — and both parallelize: UDF maps are pure per-row, so batches can
 fan out across a thread pool with ordered collection (result order and
 lineage keys are preserved exactly), and storage batches can be decoded
-one step ahead of the consumer so I/O overlaps inference. This module
-holds the three pieces the planner threads through the physical plan:
+one step ahead of the consumer so I/O overlaps inference. Batches are the
+only execution protocol (:meth:`Operator.iter_batches
+<repro.core.operators.base.Operator.iter_batches>`), so every piece here
+works on whole batches. This module holds what the planner threads
+through the physical plan:
 
 * :class:`ExecutionContext` — the session/query knobs (worker count,
   batch size, prefetch depth), carried from :class:`~repro.core.session.
-  DeepLens` / ``QueryBuilder.with_execution`` into lowering;
+  DeepLens` / ``QueryBuilder.with_execution`` into lowering. It is the
+  one home for batch size: terminals take no size argument;
 * :class:`ExecutionPlan` — the *resolved* configuration of one planned
   query (the batch size the planner actually picked, and from what),
-  surfaced per plan in ``explain()``;
+  surfaced per plan in ``explain()`` and used by every terminal to drive
+  the physical root;
 * :class:`PrefetchBatches` — a bounded background-thread queue between a
   storage scan and the first UDF map, so the next batch's heap reads and
   decodes run while the current batch is being inferred;
@@ -44,7 +49,6 @@ from repro.core.operators.base import (
     DEFAULT_BATCH_SIZE,
     Batch,
     Operator,
-    Row,
 )
 from repro.errors import QueryError
 
@@ -310,10 +314,6 @@ class PrefetchBatches(Operator):
         self.depth = depth
         self.arity = child.arity
         self.metrics = metrics
-
-    def __iter__(self) -> Iterator[Row]:
-        for batch in self.iter_batches(DEFAULT_BATCH_SIZE):
-            yield from batch
 
     def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
         buffer: queue.Queue = queue.Queue(maxsize=self.depth)

@@ -47,9 +47,8 @@ from typing import Any
 from repro.core import logical
 from repro.core.catalog import Catalog, MaterializedCollection
 from repro.core.executor import ExecutionContext
-from repro.core.operators import DEFAULT_BATCH_SIZE, Operator
+from repro.core.operators import Operator
 from repro.core.optimizer.lowering import (
-    UDFCache,
     estimate_plan_rows,
     join_dim,
     plan_pipeline,
@@ -57,6 +56,7 @@ from repro.core.optimizer.lowering import (
 from repro.core.optimizer.optimizer import Explanation, Optimizer, PlanChoice
 from repro.core.optimizer.rewriter import rewrite
 from repro.core.patch import Patch
+from repro.core.udf_cache import UDFCache
 from repro.errors import QueryError, StorageError
 from repro.storage.kvstore import BlobRef
 from repro.storage.kvstore import serialization
@@ -294,11 +294,7 @@ class MaterializationManager:
             )
         # batched collection: view builds ride the same engine as ad-hoc
         # queries (coalesced scans, prefetch, worker fan-out)
-        size = (
-            explanation.execution.batch_size
-            if explanation.execution is not None
-            else DEFAULT_BATCH_SIZE
-        )
+        size = explanation.execution.batch_size
         return [row[0] for batch in operator.iter_batches(size) for row in batch]
 
     @staticmethod

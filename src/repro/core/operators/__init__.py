@@ -1,6 +1,7 @@
 """Dataflow operators over rows of patches (Sections 2.2 and 5)."""
 
 from repro.core.operators.aggregates import (
+    AggregateExecution,
     Distinct,
     DistinctCount,
     GroupBy,
@@ -42,6 +43,7 @@ from repro.core.operators.scans import (
 )
 
 __all__ = [
+    "AggregateExecution",
     "AnnTopKExact",
     "AnnTopKScan",
     "BallTreeSimilarityJoin",

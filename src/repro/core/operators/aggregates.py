@@ -10,13 +10,24 @@ The benchmark queries aggregate in three ways:
   real-world entity;
 * group-by aggregates (per-frame counts, per-clip trajectories) go through
   :class:`GroupBy`.
+
+:class:`AggregateExecution` is what the planner lowers a terminal
+``Aggregate`` to: the child operator plus the reduction to run over its
+batches.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Iterator
+from dataclasses import dataclass
+from typing import Any, Callable, Hashable, Iterable, Iterator
 
-from repro.core.operators.base import Operator
+from repro.core.operators.base import (
+    DEFAULT_BATCH_SIZE,
+    Batch,
+    Operator,
+    chunked,
+    rows_of,
+)
 from repro.core.patch import Patch, Row
 from repro.errors import QueryError
 
@@ -43,9 +54,12 @@ class Distinct(Operator):
         self.key = key
         self.arity = child.arity
 
-    def __iter__(self) -> Iterator[Row]:
+    def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
+        return chunked(self._first_occurrences(size), size)
+
+    def _first_occurrences(self, size: int) -> Iterator[Row]:
         seen: set[Hashable] = set()
-        for row in self.child:
+        for row in rows_of(self.child, size):
             value = self.key(row[0])
             if value in seen:
                 continue
@@ -75,6 +89,73 @@ class GroupBy:
         for row in self.child:
             groups.setdefault(self.key(row[0]), []).append(row)
         return {key: self.reducer(rows) for key, rows in groups.items()}
+
+
+@dataclass
+class AggregateExecution:
+    """A lowered aggregate: the child operator plus the reduction to run.
+
+    ``fast`` is an optional short-circuit the lowering installs when the
+    aggregate can be answered from storage statistics alone (MIN/MAX
+    over a zone-mapped attribute): it returns ``(handled, value)``, and
+    when handled the child operator never runs — zero blocks decoded.
+    """
+
+    operator: Operator
+    kind: str
+    key: Callable[[Patch], Any] | None
+    reducer: Callable[[list], Any]
+    fast: Callable[[], tuple[bool, Any]] | None = None
+
+    def execute(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Any:
+        """Run the reduction over the operator's batches of at most
+        ``batch_size`` rows."""
+        if self.fast is not None:
+            handled, value = self.fast()
+            if handled:
+                return value
+        rows = rows_of(self.operator, batch_size)
+        # DistinctCount/GroupBy only iterate their child, so a flattened
+        # row stream reuses their semantics
+        if self.kind == "count":
+            return sum(1 for _ in rows)
+        if self.kind == "distinct_count":
+            return DistinctCount(rows, self.key).execute()
+        if self.kind == "avg":
+            # SQL semantics: NULL (None) values are skipped, and AVG of
+            # an empty/all-NULL input is NULL, not a division error
+            total, n = 0.0, 0
+            for row in rows:
+                value = self.key(row[0])
+                if value is None:
+                    continue
+                try:
+                    total += float(value)
+                except (TypeError, ValueError):
+                    raise QueryError(
+                        f"avg key produced non-numeric value {value!r} "
+                        f"for patch {row[0].patch_id}"
+                    ) from None
+                n += 1
+            return total / n if n else None
+        if self.kind in ("min", "max"):
+            # SQL semantics: NULLs are skipped; MIN/MAX of an empty or
+            # all-NULL input is NULL
+            pick = min if self.kind == "min" else max
+            best = None
+            for row in rows:
+                value = self.key(row[0])
+                if value is None:
+                    continue
+                try:
+                    best = value if best is None else pick(best, value)
+                except TypeError:
+                    raise QueryError(
+                        f"{self.kind} key produced incomparable value "
+                        f"{value!r} for patch {row[0].patch_id}"
+                    ) from None
+            return best
+        return GroupBy(rows, self.key, self.reducer).execute()
 
 
 class UnionFind:

@@ -2,10 +2,15 @@
 
     Operator(Iterator<Tuple<Patch>> in, Iterator<Tuple<Patch>> out)
 
-Every operator is an iterator over rows, where a row is a tuple of patches
-(arity 1 from scans, 2+ after joins) — the closed algebra "collection of
-patches in and collection of patches out". Operators are lazy; pulling the
-root of a plan drives the whole pipeline, Volcano style [Graefe 94].
+Every operator produces rows, where a row is a tuple of patches (arity 1
+from scans, 2+ after joins) — the closed algebra "collection of patches
+in and collection of patches out". There is one execution protocol:
+:meth:`Operator.iter_batches` moves ``list[Row]`` chunks through the
+plan, and it is the only method an operator implements. Row iteration
+(``for row in op``, ``collect()``, ``patches()``, ``count()``) is a
+derived view that flattens those batches. Operators are lazy; pulling
+the root of a plan drives the whole pipeline, Volcano style [Graefe 94],
+a batch at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from repro.core.batching import (  # noqa: F401  (canonical re-export)
 from repro.core.patch import Patch, Row
 from repro.errors import QueryError
 
-#: A batch flowing between operators under the batched protocol.
+#: A batch flowing between operators.
 Batch = list[Row]
 
 
@@ -37,26 +42,22 @@ class Operator(ABC):
     pipeline_breaker: bool = False
 
     @abstractmethod
-    def __iter__(self) -> Iterator[Row]:
-        """Yield output rows."""
-
-    # -- batched protocol -------------------------------------------------
-
     def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
-        """Yield output rows in ``list[Row]`` chunks of at most ``size``.
+        """Yield output rows in non-empty ``list[Row]`` chunks of at most
+        ``size``.
 
         ``size`` is the caller's execution granularity — a vectorized
         UDF's batch contract, for instance — and flows through the whole
         pipeline unchanged: no stage hands its child a larger size, so a
         caller-chosen bound (GPU memory, model batch limit) holds
         everywhere below the root.
-
-        The default implementation chunks :meth:`__iter__`; operators on
-        the hot path (scans, selects, maps) override it to move whole
-        batches through the pipeline — fewer generator hops per row, and
-        vectorized UDFs get their inputs pre-gathered.
         """
-        yield from chunked(self, size)
+
+    def __iter__(self) -> Iterator[Row]:
+        """Yield output rows: the batches of :meth:`iter_batches`,
+        flattened."""
+        for batch in self.iter_batches():
+            yield from batch
 
     # -- terminal convenience methods ------------------------------------
 
@@ -80,3 +81,11 @@ def as_rows(patches: Iterable[Patch]) -> Iterator[Row]:
     """Lift bare patches into arity-1 rows."""
     for patch in patches:
         yield (patch,)
+
+
+def rows_of(child: Operator, size: int) -> Iterator[Row]:
+    """``child``'s rows, pulled in batches of at most ``size`` — how
+    per-row logic (join probes, dedup) consumes a child without
+    exceeding its caller's batch bound."""
+    for batch in child.iter_batches(size):
+        yield from batch

@@ -22,7 +22,13 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro.core.catalog import MaterializedCollection
-from repro.core.operators.base import Operator
+from repro.core.operators.base import (
+    DEFAULT_BATCH_SIZE,
+    Batch,
+    Operator,
+    chunked,
+    rows_of,
+)
 from repro.core.patch import Patch, Row
 from repro.errors import QueryError
 from repro.indexes import BallTree, RTree, rect_from_bbox
@@ -47,9 +53,13 @@ class NestedLoopJoin(Operator):
         self.exclude_self = exclude_self
         self.arity = 2
 
-    def __iter__(self) -> Iterator[Row]:
-        right_rows = [row[0] for row in self.right]  # materialize inner side
-        for (left_patch,) in self.left:
+    def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
+        return chunked(self._pairs(size), size)
+
+    def _pairs(self, size: int) -> Iterator[Row]:
+        # materialize inner side
+        right_rows = [row[0] for row in rows_of(self.right, size)]
+        for (left_patch,) in rows_of(self.left, size):
             for right_patch in right_rows:
                 if self.exclude_self and _same_patch(left_patch, right_patch):
                     continue
@@ -80,10 +90,13 @@ class IndexEqJoin(Operator):
         self.load_data = load_data
         self.arity = 2
 
-    def __iter__(self) -> Iterator[Row]:
+    def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
+        return chunked(self._pairs(size), size)
+
+    def _pairs(self, size: int) -> Iterator[Row]:
         index = self.right.index(self.right_attr, self.kind)
         cache: dict[int, Patch] = {}
-        for (left_patch,) in self.left:
+        for (left_patch,) in rows_of(self.left, size):
             key = self.left_key(left_patch)
             if key is None:
                 continue
@@ -115,9 +128,12 @@ class RTreeOverlapJoin(Operator):
         self.expand = expand
         self.arity = 2
 
-    def __iter__(self) -> Iterator[Row]:
+    def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
+        return chunked(self._pairs(size), size)
+
+    def _pairs(self, size: int) -> Iterator[Row]:
         index: RTree = self.right.index(self.bbox_attr, "rtree")
-        for (left_patch,) in self.left:
+        for (left_patch,) in rows_of(self.left, size):
             bbox = left_patch.metadata.get(self.bbox_attr)
             if bbox is None:
                 continue
@@ -175,16 +191,15 @@ class BallTreeSimilarityJoin(Operator):
         self.leaf_size = leaf_size
         self.arity = 2
 
-    def __iter__(self) -> Iterator[Row]:
+    def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
         if self.index is not None:
-            yield from self._probe_prebuilt()
-        else:
-            yield from self._probe_on_the_fly()
+            return chunked(self._probe_prebuilt(size), size)
+        return chunked(self._probe_on_the_fly(size), size)
 
-    def _probe_prebuilt(self) -> Iterator[Row]:
+    def _probe_prebuilt(self, size: int) -> Iterator[Row]:
         assert self.index is not None and self.right_collection is not None
         cache: dict[int, Patch] = {}
-        for (left_patch,) in self.left:
+        for (left_patch,) in rows_of(self.left, size):
             vector = np.asarray(self.features(left_patch), dtype=np.float64).ravel()
             for patch_id in self.index.query_radius(vector, self.threshold):
                 patch_id = int(patch_id)
@@ -195,9 +210,9 @@ class BallTreeSimilarityJoin(Operator):
                     continue
                 yield (left_patch, right_patch)
 
-    def _probe_on_the_fly(self) -> Iterator[Row]:
+    def _probe_on_the_fly(self, size: int) -> Iterator[Row]:
         assert self.right is not None
-        right_patches = [row[0] for row in self.right]
+        right_patches = [row[0] for row in rows_of(self.right, size)]
         if not right_patches:
             return
         matrix = np.stack(
@@ -207,7 +222,7 @@ class BallTreeSimilarityJoin(Operator):
             ]
         )
         tree = BallTree(matrix, leaf_size=self.leaf_size)
-        for (left_patch,) in self.left:
+        for (left_patch,) in rows_of(self.left, size):
             vector = np.asarray(self.features(left_patch), dtype=np.float64).ravel()
             for row_idx in tree.query_radius(vector, self.threshold):
                 right_patch = right_patches[int(row_idx)]
@@ -229,9 +244,9 @@ class SwapSides(Operator):
         self.child = child
         self.arity = 2
 
-    def __iter__(self) -> Iterator[Row]:
-        for a, b in self.child:
-            yield (b, a)
+    def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
+        for batch in self.child.iter_batches(size):
+            yield [(b, a) for a, b in batch]
 
 
 def _same_patch(a: Patch, b: Patch) -> bool:

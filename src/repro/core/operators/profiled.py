@@ -24,7 +24,6 @@ import time
 from typing import Iterator
 
 from repro.core.operators.base import DEFAULT_BATCH_SIZE, Batch, Operator
-from repro.core.patch import Row
 from repro.core.profile import OperatorProfile
 
 
@@ -46,20 +45,6 @@ class ProfiledOperator(Operator):
     @property
     def pipeline_breaker(self) -> bool:  # type: ignore[override]
         return self.child.pipeline_breaker
-
-    def __iter__(self) -> Iterator[Row]:
-        entry = self.entry
-        source = iter(self.child)
-        while True:
-            started = time.perf_counter()
-            try:
-                row = next(source)
-            except StopIteration:
-                entry.add_time(time.perf_counter() - started)
-                entry.mark_exhausted()
-                return
-            entry.add_rows(1, time.perf_counter() - started)
-            yield row
 
     def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
         entry = self.entry
@@ -99,12 +84,6 @@ class InputProbe(Operator):
     @property
     def pipeline_breaker(self) -> bool:  # type: ignore[override]
         return self.child.pipeline_breaker
-
-    def __iter__(self) -> Iterator[Row]:
-        entry, index = self.entry, self.index_probes
-        for row in self.child:
-            entry.add_input(1, index=index)
-            yield row
 
     def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
         entry, index = self.entry, self.index_probes

@@ -10,7 +10,6 @@ materialized collection, mirroring Section 3.2's index menu:
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
@@ -26,6 +25,7 @@ from repro.core.operators.base import (
     Operator,
     as_rows,
     chunked,
+    rows_of,
     slice_batches,
 )
 from repro.core.patch import FRAME_KEY, LINEAGE_KEY, SOURCE_KEY, Patch, Row
@@ -39,9 +39,11 @@ class IteratorScan(Operator):
         self._patches = patches
         self._consumed = False
 
-    def __iter__(self) -> Iterator[Row]:
+    def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
         if isinstance(self._patches, (list, tuple)):
-            yield from as_rows(iter(self._patches))
+            # slice directly instead of re-chunking a row iterator
+            for chunk in slice_batches(self._patches, size):
+                yield [(patch,) for patch in chunk]
             return
         # the consumed flag trips only once this generator is actually
         # driven: merely *creating* an iterator (or an iter_batches
@@ -53,15 +55,7 @@ class IteratorScan(Operator):
                 "already consumed; materialize the collection to re-scan"
             )
         self._consumed = True
-        yield from as_rows(iter(self._patches))
-
-    def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
-        if isinstance(self._patches, (list, tuple)):
-            # slice directly instead of re-chunking a row iterator
-            for chunk in slice_batches(self._patches, size):
-                yield [(patch,) for patch in chunk]
-            return
-        yield from super().iter_batches(size)
+        yield from chunked(as_rows(self._patches), size)
 
 
 class CollectionScan(Operator):
@@ -76,9 +70,6 @@ class CollectionScan(Operator):
     ) -> None:
         self.collection = collection
         self.load_data = load_data
-
-    def __iter__(self) -> Iterator[Row]:
-        return as_rows(self.collection.scan(load_data=self.load_data))
 
     def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
         # the vectorized storage path: each batch is decoded in one
@@ -111,10 +102,6 @@ class MetadataScan(Operator):
         #: estimate against what the scan actually skipped
         self.on_blocks: Callable[[int, int], None] | None = None
 
-    def __iter__(self) -> Iterator[Row]:
-        for batch in self.iter_batches():
-            yield from batch
-
     def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
         for patches in self.collection.metadata_batches(
             size, expr=self.expr, on_blocks=self.on_blocks
@@ -130,26 +117,8 @@ class _IndexScan(Operator):
     collection: MaterializedCollection
     load_data: bool
 
-    #: first fetch of the row path — small, so an early-exiting consumer
-    #: (a limit) never pays for a full default-sized batch of decodes
-    ROW_PATH_INITIAL_FETCH = 8
-
     def _ids(self) -> Iterator[int]:
         raise NotImplementedError
-
-    def __iter__(self) -> Iterator[Row]:
-        # coalesced like the batched path, but with geometrically growing
-        # chunks: a consumer that stops after a few rows decodes ~8
-        # patches, a consumer that drains everything converges on
-        # full-size coalesced fetches
-        ids = self._ids()
-        size = self.ROW_PATH_INITIAL_FETCH
-        while True:
-            chunk = list(islice(ids, size))
-            if not chunk:
-                return
-            yield from self._fetch(chunk)
-            size = min(size * 2, DEFAULT_BATCH_SIZE)
 
     def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
         for ids in chunked(self._ids(), size):
@@ -276,19 +245,15 @@ class AnnTopKExact(Operator):
             return None
         return float(np.sqrt(((v - self.query) ** 2).sum()))
 
-    def __iter__(self) -> Iterator[Row]:
+    def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
         scored: list[tuple[float, int, Row]] = []
-        for position, row in enumerate(self.child):
+        for position, row in enumerate(rows_of(self.child, size)):
             distance = self._distance(row[0])
             if distance is not None:
                 # position breaks ties deterministically (rows don't sort)
                 scored.append((distance, position, row))
         scored.sort(key=lambda item: item[:2])
-        for _, _, row in scored[: self.k]:
-            yield row
-
-    def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
-        yield from slice_batches(list(self), size)
+        yield from slice_batches([row for _, _, row in scored[: self.k]], size)
 
 
 class Select(Operator):
@@ -299,11 +264,6 @@ class Select(Operator):
         self.expr = expr
         self.on = on
         self.arity = child.arity
-
-    def __iter__(self) -> Iterator[Row]:
-        for row in self.child:
-            if self.expr.evaluate(row[self.on]):
-                yield row
 
     def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
         evaluate, on = self.expr.evaluate, self.on
@@ -324,18 +284,17 @@ class MapPatches(Operator):
     """Apply a patch -> patch(es) function (a generator/transformer stage).
 
     ``fn`` may return one patch, a list of patches, or None (drop).
-    ``batch_fn``, when given, is a vectorized implementation used by the
-    batched protocol: it takes a list of patches and must return one
+    ``batch_fn``, when given, is a vectorized implementation used in
+    place of ``fn``: it takes a list of patches and must return one
     result (patch / list / None) per input — the hook batched model
     inference plugs into.
 
     ``execution`` (an :class:`~repro.core.executor.ExecutionContext`)
-    with ``workers > 1`` dispatches batches to a thread pool on the
-    batched path. UDF maps are pure per-row, so ordered fan-out — batches
-    submitted in input order, results consumed in submission order —
-    yields exactly the serial output: same rows, same order, same lineage
-    keys. A worker exception re-raises on the driver with its original
-    type.
+    with ``workers > 1`` dispatches batches to a thread pool. UDF maps
+    are pure per-row, so ordered fan-out — batches submitted in input
+    order, results consumed in submission order — yields exactly the
+    serial output: same rows, same order, same lineage keys. A worker
+    exception re-raises on the driver with its original type.
     """
 
     def __init__(
@@ -364,10 +323,6 @@ class MapPatches(Operator):
         if isinstance(result, Patch):
             return [(result,)]
         return [(patch,) for patch in result]
-
-    def __iter__(self) -> Iterator[Row]:
-        for row in self.child:
-            yield from self._result_rows(self.fn(row[self.on]))
 
     def _apply(self, inputs: list[Patch]) -> list:
         """Run the UDF over one gathered batch (worker-side when parallel)."""
@@ -426,16 +381,6 @@ class Limit(Operator):
         self.n = n
         self.arity = child.arity
 
-    def __iter__(self) -> Iterator[Row]:
-        remaining = self.n
-        if remaining == 0:
-            return
-        for row in self.child:
-            yield row
-            remaining -= 1
-            if remaining == 0:
-                return
-
     def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
         remaining = self.n
         if remaining == 0:
@@ -477,15 +422,8 @@ class OrderBy(Operator):
         self.reverse = reverse
         self.arity = child.arity
 
-    def __iter__(self) -> Iterator[Row]:
-        rows = list(self.child)
-        rows.sort(key=lambda row: self.key(row[0]), reverse=self.reverse)
-        return iter(rows)
-
     def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
-        rows: list[Row] = [
-            row for batch in self.child.iter_batches(size) for row in batch
-        ]
+        rows = list(rows_of(self.child, size))
         rows.sort(key=lambda row: self.key(row[0]), reverse=self.reverse)
         yield from slice_batches(rows, size)
 
@@ -523,10 +461,6 @@ class Project(Operator):
             metadata=metadata,
             patch_id=patch.patch_id,
         )
-
-    def __iter__(self) -> Iterator[Row]:
-        for row in self.child:
-            yield (self._project(row[0]),)
 
     def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
         project = self._project

@@ -1,5 +1,8 @@
 """Query optimization: cost model, planner, storage advisor, synthesis."""
 
+# owned by the operator / UDF layers; re-exported for the planner's callers
+from repro.core.operators.aggregates import AggregateExecution
+from repro.core.udf_cache import UDFCache
 from repro.core.optimizer.advisor import (
     LayoutCosts,
     StorageAdvisor,
@@ -10,8 +13,6 @@ from repro.core.optimizer.cost import CostModel
 from repro.core.optimizer.lowering import (
     DEFAULT_JOIN_DIM,
     JOIN_PER_DIM_MATCH,
-    AggregateExecution,
-    UDFCache,
     ViewMatcher,
     estimate_join_output,
     estimate_plan_rows,

@@ -97,7 +97,7 @@ from repro.core.metrics import (
     span,
     trace,
 )
-from repro.core.operators import DEFAULT_BATCH_SIZE, Operator
+from repro.core.operators import Operator
 from repro.core.optimizer import (
     AggregateExecution,
     CostModel,
@@ -112,13 +112,6 @@ from repro.core.schema import PatchSchema
 from repro.core.udf import UDFDefinition, attribute_key, default_registry
 from repro.errors import QueryError, StorageError
 from repro.storage.formats import VideoStore, load_patches, open_store
-
-
-#: sentinel default for terminal ``batch_size`` parameters: defer to the
-#: planner's cardinality-driven choice. Distinct from an explicit
-#: ``batch_size=DEFAULT_BATCH_SIZE`` argument, which — like any explicit
-#: value — is honored exactly (a caller's GPU/model batch contract).
-PLANNER_CHOSEN: Any = object()
 
 
 class DeepLens:
@@ -136,9 +129,12 @@ class DeepLens:
       rows, same order, same lineage keys). Threads pay off when the UDF
       releases the GIL — numpy/BLAS kernels, accelerator or RPC
       inference; pure-Python UDFs should stay at ``workers=1``.
-    * ``batch_size`` — rows per batch through the whole pipeline; leave
+    * ``batch_size`` — rows per batch through the whole pipeline, and
+      the only place it is set (terminals take no size argument): leave
       ``None`` and the planner picks from cardinality estimates (shown
-      in ``explain()``), or pin it to a model's batch contract.
+      in ``explain()``), or pin it to a model's batch contract. Every
+      operator — including the maps below a join — pulls its input in
+      batches of at most this size.
     * ``prefetch_batches`` — how many batches the storage scan decodes
       ahead of the first UDF map (parallel plans only), overlapping blob
       I/O with inference.
@@ -481,15 +477,6 @@ class DeepLens:
         ``explain()``)."""
         return self.catalog.plan_quality_log()
 
-    def _record_plan_quality(
-        self, plan: logical.LogicalPlan, profile: RuntimeProfile
-    ) -> None:
-        if not profile.entries:
-            return
-        self.catalog.plan_quality_log().record(
-            logical.plan_parameterized_fingerprint(plan), profile
-        )
-
     # -- telemetry --------------------------------------------------------
 
     def metrics(self) -> dict:
@@ -719,10 +706,11 @@ class DeepLens:
 class QueryBuilder:
     """Fluent query pipeline over one collection, optimizer-planned.
 
-    Each call appends a node to a logical plan; terminals hand the plan
-    to the planner (rewrite -> lower -> physical operators) and execute
-    it batched. The builder is immutable-ish: every call returns a new
-    builder, so partial pipelines can be shared and extended safely.
+    Each call appends a node to a logical plan; every terminal hands
+    the plan to one driver that plans it (rewrite -> lower -> physical
+    operators) and pulls batches from the physical root. The builder is
+    immutable-ish: every call returns a new builder, so partial
+    pipelines can be shared and extended safely.
     """
 
     def __init__(
@@ -779,17 +767,12 @@ class QueryBuilder:
         ``prefetch_batches`` sets the scan-side prefetch depth. Knobs
         left ``None`` keep their current values.
         """
-        base = (
-            self._execution
-            if self._execution is not None
-            else self.session.execution
-        )
         return QueryBuilder(
             self.session,
             self.collection_name,
             self._plan,
             allow_stale=self._allow_stale,
-            execution=base.override(
+            execution=self.execution_context().override(
                 workers=workers,
                 batch_size=batch_size,
                 prefetch_batches=prefetch_batches,
@@ -950,17 +933,78 @@ class QueryBuilder:
 
     # -- planning -----------------------------------------------------------
 
-    def plan(self) -> tuple[Operator, Explanation]:
-        operator, explanation = plan_pipeline(
+    def _physical(
+        self,
+        plan: logical.LogicalPlan,
+        profile: RuntimeProfile | None = None,
+    ) -> tuple[Operator | AggregateExecution, Explanation]:
+        execution = self.execution_context()
+        return plan_pipeline(
             self.session.optimizer,
-            self._plan,
+            plan,
             udf_cache=self.session.udf_cache,
             views=self.session.materialization,
             allow_stale=self._allow_stale,
-            execution=self.execution_context(),
+            execution=(
+                execution if profile is None else execution.with_profile(profile)
+            ),
         )
+
+    def plan(self) -> tuple[Operator, Explanation]:
+        operator, explanation = self._physical(self._plan)
         assert isinstance(operator, Operator)  # Aggregate only via aggregate()
         return operator, explanation
+
+    def _run(
+        self,
+        plan: logical.LogicalPlan,
+        *,
+        terminal: str | None = None,
+        analyze: bool = False,
+    ) -> Any:
+        """The one terminal driver: query scope -> plan -> execute.
+
+        Runs any logical plan at the planner-resolved batch size (see
+        ``ExecutionContext.batch_size``) and returns its rows, or the
+        reduced value when ``plan`` is rooted at an ``Aggregate``.
+        ``terminal`` names a caller that needs arity-1 rows. With
+        ``analyze`` the plan runs under a :class:`RuntimeProfile`, the
+        output is discarded as it streams, and the graded
+        :class:`Explanation` is returned (and recorded in the session's
+        plan-quality log) instead.
+        """
+        profile = RuntimeProfile() if analyze else None
+        with self.session._query_scope() as root:
+            physical, explanation = self._physical(plan, profile)
+            if terminal is not None and physical.arity != 1:
+                raise QueryError(
+                    f"{terminal}() needs arity-1 rows; this operator yields "
+                    f"{physical.arity}-tuples — use rows()"
+                )
+            self._annotate(root, plan)
+            size = explanation.execution.batch_size
+            result = None
+            with span("execute"):
+                if isinstance(physical, AggregateExecution):
+                    result = physical.execute(size)
+                elif analyze:
+                    for _ in physical.iter_batches(size):
+                        pass
+                else:
+                    result = [
+                        row
+                        for batch in physical.iter_batches(size)
+                        for row in batch
+                    ]
+            if profile is None:
+                return result
+            profile.finish()
+            explanation.profile = profile
+            if profile.entries:
+                self.session.plan_quality_log().record(
+                    logical.plan_parameterized_fingerprint(plan), profile
+                )
+            return explanation
 
     def explain(self, *, analyze: bool = False) -> Explanation:
         """The planner's reasoning for this pipeline.
@@ -974,33 +1018,9 @@ class QueryBuilder:
         back as correction factors for later estimates of the same
         predicates.
         """
-        if not analyze:
-            _, explanation = self.plan()
-            return explanation
-        with self.session._query_scope() as root:
-            profile = RuntimeProfile()
-            operator, explanation = plan_pipeline(
-                self.session.optimizer,
-                self._plan,
-                udf_cache=self.session.udf_cache,
-                views=self.session.materialization,
-                allow_stale=self._allow_stale,
-                execution=self.execution_context().with_profile(profile),
-            )
-            assert isinstance(operator, Operator)
-            self._annotate(root, self._plan)
-            size = (
-                explanation.execution.batch_size
-                if explanation.execution is not None
-                else DEFAULT_BATCH_SIZE
-            )
-            with span("execute"):
-                for _ in operator.iter_batches(size):
-                    pass
-            profile.finish()
-            explanation.profile = profile
-            self.session._record_plan_quality(self._plan, profile)
-            return explanation
+        if analyze:
+            return self._run(self._plan, analyze=True)
+        return self._physical(self._plan)[1]
 
     def logical_plan(self) -> logical.LogicalPlan:
         """The (un-rewritten) logical plan built so far."""
@@ -1015,10 +1035,6 @@ class QueryBuilder:
 
     # -- terminals ------------------------------------------------------
 
-    def operator(self) -> Operator:
-        operator, _ = self.plan()
-        return operator
-
     @staticmethod
     def _annotate(root: "Span | None", plan: logical.LogicalPlan) -> None:
         """Stamp the parameterized plan fingerprint onto the query's root
@@ -1030,86 +1046,21 @@ class QueryBuilder:
                 logical.plan_parameterized_fingerprint(plan)
             )
 
-    @staticmethod
-    def _resolve_batch_size(requested: Any, explanation: Explanation) -> int:
-        """The batch size a terminal actually runs at: the planner's
-        cardinality-driven pick when the caller left the default
-        (:data:`PLANNER_CHOSEN`), the caller's explicit value otherwise."""
-        if requested is not PLANNER_CHOSEN:
-            return requested
-        if explanation.execution is not None:
-            return explanation.execution.batch_size
-        return DEFAULT_BATCH_SIZE
+    def patches(self) -> list[Patch]:
+        """Collect single-patch rows. Execution is batched at the size
+        the planner resolved (shown in ``explain()``); pin it with
+        ``with_execution(batch_size=...)``."""
+        return [row[0] for row in self._run(self._plan, terminal="patches")]
 
-    def patches(
-        self, *, batch_size: int | None = PLANNER_CHOSEN
-    ) -> list[Patch]:
-        """Collect single-patch rows; batched execution by default.
-        ``batch_size=None`` forces the row-at-a-time path; omitted, the
-        planner's batch-size choice applies (see ``explain()``); an
-        explicit value is honored exactly."""
-        with self.session._query_scope() as root:
-            operator, explanation = self.plan()
-            if operator.arity != 1:
-                raise QueryError(
-                    f"patches() needs arity-1 rows; this operator yields "
-                    f"{operator.arity}-tuples — use rows()"
-                )
-            self._annotate(root, self._plan)
-            with span("execute"):
-                if batch_size is None:
-                    return operator.patches()
-                size = self._resolve_batch_size(batch_size, explanation)
-                return [
-                    row[0]
-                    for batch in operator.iter_batches(size)
-                    for row in batch
-                ]
-
-    def rows(self, *, batch_size: int | None = PLANNER_CHOSEN) -> list[Row]:
+    def rows(self) -> list[Row]:
         """Collect rows of any arity (pairs after a similarity join)."""
-        with self.session._query_scope() as root:
-            operator, explanation = self.plan()
-            self._annotate(root, self._plan)
-            with span("execute"):
-                if batch_size is None:
-                    return operator.collect()
-                size = self._resolve_batch_size(batch_size, explanation)
-                return [
-                    row for batch in operator.iter_batches(size) for row in batch
-                ]
+        return self._run(self._plan)
 
-    def count(self, *, batch_size: int | None = PLANNER_CHOSEN) -> int:
+    def count(self) -> int:
         # planned as a terminal Aggregate(count) — not a row collection —
         # so the planner can flip the scan underneath to the metadata
         # segment (counting never needs pixel data)
-        with self.session._query_scope() as root:
-            aggregate, explanation, plan = self._plan_aggregate("count")
-            self._annotate(root, plan)
-            with span("execute"):
-                return aggregate.execute(
-                    batch_size=self._resolve_batch_size(batch_size, explanation)
-                )
-
-    def _plan_aggregate(
-        self,
-        kind: str,
-        *,
-        key: Callable[[Patch], Any] | None = None,
-        reducer: Callable[[list], Any] = len,
-        execution: ExecutionContext | None = None,
-    ) -> tuple[AggregateExecution, Explanation, logical.LogicalPlan]:
-        plan = logical.Aggregate(self._plan, kind, key=key, reducer=reducer)
-        aggregate, explanation = plan_pipeline(
-            self.session.optimizer,
-            plan,
-            udf_cache=self.session.udf_cache,
-            views=self.session.materialization,
-            allow_stale=self._allow_stale,
-            execution=execution if execution is not None else self.execution_context(),
-        )
-        assert isinstance(aggregate, AggregateExecution)
-        return aggregate, explanation, plan
+        return self.aggregate("count")
 
     def aggregate(
         self,
@@ -1127,17 +1078,9 @@ class QueryBuilder:
         from the segment's zone-map block statistics when provable —
         zero blocks decoded (the short-circuit shows in ``explain()``).
         """
-        with self.session._query_scope() as root:
-            aggregate, explanation, plan = self._plan_aggregate(
-                kind, key=key, reducer=reducer
-            )
-            self._annotate(root, plan)
-            with span("execute"):
-                return aggregate.execute(
-                    batch_size=self._resolve_batch_size(
-                        PLANNER_CHOSEN, explanation
-                    )
-                )
+        return self._run(
+            logical.Aggregate(self._plan, kind, key=key, reducer=reducer)
+        )
 
     def aggregate_explain(
         self,
@@ -1151,30 +1094,10 @@ class QueryBuilder:
         aggregate (what ``EXPLAIN SELECT count(*) ...`` shows).
         ``analyze=True`` executes the aggregate under instrumentation
         and attaches the runtime profile, as :meth:`explain` does."""
-        if not analyze:
-            _, explanation, _ = self._plan_aggregate(
-                kind, key=key, reducer=reducer
-            )
-            return explanation
-        with self.session._query_scope() as root:
-            profile = RuntimeProfile()
-            aggregate, explanation, plan = self._plan_aggregate(
-                kind,
-                key=key,
-                reducer=reducer,
-                execution=self.execution_context().with_profile(profile),
-            )
-            self._annotate(root, plan)
-            with span("execute"):
-                aggregate.execute(
-                    batch_size=self._resolve_batch_size(
-                        PLANNER_CHOSEN, explanation
-                    )
-                )
-            profile.finish()
-            explanation.profile = profile
-            self.session._record_plan_quality(plan, profile)
-            return explanation
+        plan = logical.Aggregate(self._plan, kind, key=key, reducer=reducer)
+        if analyze:
+            return self._run(plan, analyze=True)
+        return self._physical(plan)[1]
 
     def distinct_count(self, key: Callable[[Patch], object]) -> int:
         return self.aggregate("distinct_count", key=key)
@@ -1194,17 +1117,11 @@ class QueryBuilder:
         return self.aggregate("max", key=attribute_key(attr))
 
     def first(self) -> Patch:
-        with self.session._query_scope() as root:
-            operator = self.operator()
-            if operator.arity != 1:
-                raise QueryError(
-                    f"first() needs arity-1 rows; this operator yields "
-                    f"{operator.arity}-tuples — use rows()"
-                )
-            self._annotate(root, self._plan)
-            with span("execute"):
-                for (patch,) in operator:
-                    return patch
-            raise QueryError(
-                f"query over {self.collection_name!r} returned no patches"
-            )
+        """The pipeline's first patch — ``limit(1)``, so the scan
+        underneath fetches one row unless a sort sits in between."""
+        limited = self.limit(1)
+        for (patch,) in limited._run(limited._plan, terminal="first"):
+            return patch
+        raise QueryError(
+            f"query over {self.collection_name!r} returned no patches"
+        )

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Union
 
 from repro.core import logical
+from repro.core.catalog import INDEX_KINDS
 from repro.core.expressions import (
     And,
     Between,
@@ -310,6 +311,14 @@ class Binder:
             return BoundDropView(self.session, statement.name)
         if isinstance(statement, ast.CreateIndex):
             self._collection(statement.collection, statement)
+            # like keywords, index kinds are case-insensitive
+            kind = statement.kind.lower()
+            if kind not in INDEX_KINDS:
+                raise self._error(
+                    f"unknown index kind {statement.kind!r}; expected one "
+                    f"of {INDEX_KINDS}",
+                    statement,
+                )
             params: dict[str, int | float] = {}
             for name, value in statement.params:
                 if name in params:
@@ -321,7 +330,7 @@ class Binder:
                 self.session,
                 statement.collection,
                 statement.attr,
-                statement.kind,
+                kind,
                 params or None,
             )
         if isinstance(statement, ast.Show):

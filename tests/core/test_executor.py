@@ -24,8 +24,11 @@ from repro.core.executor import (
     resolve_execution,
     run_ordered,
 )
+from repro.core.metrics import MetricsRegistry
 from repro.core.operators import (
     DEFAULT_BATCH_SIZE,
+    AnnTopKExact,
+    Distinct,
     IndexLookupScan,
     IndexRangeScan,
     IteratorScan,
@@ -122,8 +125,11 @@ class TestParallelSerialEquivalence:
         assert any(("side", "a") in meta for meta in sides)
 
     def test_parallel_matches_row_at_a_time_path(self, db):
+        # ported: the serial baseline is workers=1 at one row per batch
         query = cached_query(db)
-        serial_rows = row_signature(query.patches(batch_size=None))
+        serial_rows = row_signature(
+            query.with_execution(workers=1, batch_size=1).patches()
+        )
         parallel = row_signature(
             query.with_execution(workers=3).patches()
         )
@@ -197,6 +203,98 @@ class TestParallelSerialEquivalence:
             query.patches()
         # the failed computation released its single-flight claim
         assert not db.udf_cache._inflight
+
+
+class TestMapsBelowBlockingOperators:
+    """A UDF map *below* a join, a dedup, or an exact top-k — operators
+    that consume their input row by row — must still run batched and
+    parallel: the child is pulled with ``iter_batches(size)``, so
+    ``batch_fn``, ``batch_size`` and ``workers`` all apply (the Table-1
+    q4 shape)."""
+
+    @staticmethod
+    def spied_map(source, sizes):
+        def batch_fn(patches):
+            sizes.append(len(patches))
+            return [scoring_udf(p) for p in patches]
+
+        return source.map(
+            scoring_udf, name="scored", provides={"total"}, batch_fn=batch_fn
+        )
+
+    @staticmethod
+    def pool_batches(db):
+        return db.metrics()["counters"].get("deeplens_executor_batches_total", 0)
+
+    def run_both(self, db, build):
+        """(workers=1 rows, workers=4 rows, parallel batch sizes,
+        batches the parallel run sent through the pool)"""
+        sizes: list[int] = []
+        before = self.pool_batches(db)
+        serial = build(sizes).with_execution(batch_size=4, workers=1).rows()
+        assert sizes and max(sizes) <= 4
+        assert self.pool_batches(db) == before  # serial never enters the pool
+        sizes.clear()
+        parallel = build(sizes).with_execution(batch_size=4, workers=4).rows()
+        return serial, parallel, sizes, self.pool_batches(db) - before
+
+    def test_map_below_similarity_join(self, db):
+        def build(sizes):
+            return self.spied_map(db.scan("c"), sizes).similarity_join(
+                "c", threshold=0.0
+            )
+
+        serial, parallel, sizes, dispatched = self.run_both(db, build)
+        assert sizes == [4] * (N_PATCHES // 4)
+        assert dispatched == N_PATCHES // 4
+        pairs = [(a.patch_id, b.patch_id) for a, b in parallel]
+        assert pairs == [(a.patch_id, b.patch_id) for a, b in serial]
+        assert len(pairs) > N_PATCHES  # data repeats mod 11: real matches
+
+    def test_map_below_exact_topk_with_residual_filter(self, db):
+        def build(sizes):
+            return (
+                self.spied_map(db.scan("c"), sizes)
+                .filter(Attr("total") > 100.0)
+                .similarity_search(np.zeros(48), 5)
+            )
+
+        assert isinstance(build([]).plan()[0], AnnTopKExact)
+        serial, parallel, sizes, dispatched = self.run_both(db, build)
+        assert sizes == [4] * (N_PATCHES // 4)
+        assert dispatched == N_PATCHES // 4
+        assert row_signature(r[0] for r in parallel) == row_signature(
+            r[0] for r in serial
+        )
+        assert len(parallel) == 5
+
+    def test_map_below_distinct(self):
+        patches = list(make_patches())
+        outputs = {}
+        for workers in (1, 4):
+            sizes: list[int] = []
+            registry = MetricsRegistry()
+
+            def batch_fn(batch):
+                sizes.append(len(batch))
+                return [scoring_udf(p) for p in batch]
+
+            mapped = MapPatches(
+                IteratorScan(patches),
+                scoring_udf,
+                batch_fn=batch_fn,
+                execution=ExecutionContext(workers=workers, metrics=registry),
+            )
+            distinct = Distinct(mapped, key=lambda p: p["label"])
+            outputs[workers] = [
+                row[0]["score"] for b in distinct.iter_batches(4) for row in b
+            ]
+            assert sizes == [4] * (N_PATCHES // 4)
+            dispatched = registry.snapshot()["counters"].get(
+                "deeplens_executor_batches_total", 0
+            )
+            assert dispatched == (N_PATCHES // 4 if workers > 1 else 0)
+        assert outputs[1] == outputs[4] == [0.0, 1.0]
 
 
 class TestRunOrdered:
@@ -445,8 +543,9 @@ class TestBatchedIndexScans:
         ]
 
     def test_row_path_fetches_lazily(self, indexed_db, monkeypatch):
-        # an early-exiting row consumer must not pay for a full
-        # default-sized batch of decodes: the first fetch is small
+        # ported: an early-exiting consumer must not pay for a full
+        # default-sized batch of decodes — a limit shrinks the index
+        # scan's fetch to exactly what it needs
         collection = indexed_db.collection("c")
         requested: list[int] = []
         original = collection.get_many
@@ -456,11 +555,20 @@ class TestBatchedIndexScans:
             return original(ids, **kwargs)
 
         monkeypatch.setattr(collection, "get_many", counting)
-        scan = IndexLookupScan(collection, "label", "vehicle", "hash")
-        rows = iter(scan)
-        for _ in range(3):
-            next(rows)
-        assert requested == [scan.ROW_PATH_INITIAL_FETCH]
+        query = indexed_db.scan("c").filter(Attr("score") < 6.0)
+        assert query.explain().chosen.kind == "btree-range"
+        assert query.first()["score"] == 0.0
+        assert requested == [1]
+        requested.clear()
+        assert len(query.limit(3).patches()) == 3
+        assert requested == [3]
+        requested.clear()
+        # a sort consumes everything anyway: first() above it must not
+        # starve the scan of full batches
+        top = query.order_by("score", reverse=True).first()
+        assert top["score"] == 5.0
+        # one coalesced fetch of the whole (inclusive) index range
+        assert len(requested) == 1 and requested[0] >= 6
 
     def test_range_scan_batched_matches_row_path(self, indexed_db):
         scan = IndexRangeScan(
@@ -519,14 +627,16 @@ class TestExecutionConfig:
         assert context.override() is context
 
     def test_explicit_default_sized_batch_honored(self, db):
-        # batch_size=256 passed explicitly must NOT be replaced by the
+        # batch_size=256 set explicitly must NOT be replaced by the
         # planner's cardinality-driven pick (it equals DEFAULT_BATCH_SIZE,
         # but explicit is explicit — a model's batch contract)
         query = cached_query(db).with_execution(workers=4)
         assert query.explain().execution.batch_size < DEFAULT_BATCH_SIZE
-        explicit = query.patches(batch_size=DEFAULT_BATCH_SIZE)
-        planner = query.patches()
-        assert row_signature(explicit) == row_signature(planner)
+        pinned = query.with_execution(batch_size=DEFAULT_BATCH_SIZE)
+        resolved = pinned.explain().execution
+        assert resolved.batch_size == DEFAULT_BATCH_SIZE
+        assert resolved.batch_size_source == "caller-specified"
+        assert row_signature(pinned.patches()) == row_signature(query.patches())
 
     def test_caller_batch_size_wins(self):
         size, source = choose_batch_size(

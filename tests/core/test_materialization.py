@@ -423,8 +423,8 @@ class TestPersistentUDFCache:
             assert CALLS["n"] == 40
         with DeepLens(tmp_path) as db:
             db.scan("c").map(
-                counting_udf, name="count", batch_fn=batch, cache=True
-            ).patches(batch_size=8)
+                counting_udf, name="count", cache=True
+            ).with_execution(batch_size=8).patches()
             assert CALLS["n"] == 40
             assert db.udf_cache.disk_hits == 40
 

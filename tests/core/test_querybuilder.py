@@ -96,11 +96,14 @@ class TestPipelineStages:
         assert narrowed.count() == 3
 
     def test_batched_and_row_paths_agree(self, db):
+        # ported: the row path is gone; batch size (set in its one home,
+        # with_execution) must never change what a query returns
         query = db.scan("c").filter(Attr("label") == "person").limit(7)
-        batched = [p.patch_id for p in query.patches(batch_size=3)]
-        rowwise = [p.patch_id for p in query.patches(batch_size=None)]
-        assert batched == rowwise
-        assert query.count(batch_size=3) == query.count(batch_size=None) == 7
+        small = query.with_execution(batch_size=3)
+        batched = [p.patch_id for p in small.patches()]
+        rowwise = [p.patch_id for p in query.with_execution(batch_size=1).patches()]
+        assert batched == rowwise == [p.patch_id for p in query.patches()]
+        assert small.count() == query.count() == 7
 
 
 class TestSimilarityJoinAndAggregate:
@@ -150,7 +153,7 @@ class TestSimilarityJoinAndAggregate:
         with pytest.raises(QueryError, match="arity"):
             join.patches()
         with pytest.raises(QueryError, match="arity"):
-            join.patches(batch_size=None)
+            join.with_execution(batch_size=1).patches()
         with pytest.raises(QueryError, match="arity"):
             join.first()
 

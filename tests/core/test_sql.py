@@ -713,6 +713,36 @@ class TestViewsAndDDL:
         assert len(view) == 4
         db.sql("DROP VIEW v2")
 
+    @pytest.mark.parametrize(
+        "attr, spelled, kind",
+        [
+            ("label", "HASH", "hash"),
+            ("score", "BTree", "btree"),
+            ("bbox", "RTREE", "rtree"),
+            ("emb", "BallTree", "balltree"),
+            ("emb", "HNSW", "hnsw"),
+        ],
+    )
+    def test_index_kinds_are_case_insensitive(self, tmp_path, attr, spelled, kind):
+        text = f"CREATE INDEX ON c ({attr}) USING {spelled}"
+        statement = parse(text)
+        assert statement.kind == spelled  # the AST keeps the source spelling
+        assert parse(statement.to_sql()) == statement
+        with DeepLens(tmp_path) as session:
+            patches = list(make_patches(12))
+            for i, patch in enumerate(patches):
+                patch.metadata["bbox"] = (i, i, i + 2, i + 2)
+                patch.metadata["emb"] = np.array([float(i), 1.0])
+            session.materialize(patches, "c")
+            session.sql(text)
+            assert ("c", attr, kind) in session.catalog.indexes()
+
+    def test_unknown_index_kind_is_a_positioned_error(self, db):
+        with pytest.raises(BindError, match="unknown index kind 'Bogus'") as excinfo:
+            db.sql("CREATE INDEX ON c (label)\n  USING Bogus")
+        assert (excinfo.value.line, excinfo.value.column) == (1, 1)
+        assert "^" in str(excinfo.value)
+
     def test_show_collections_and_stats(self, db):
         names = [row["name"] for row in db.sql("SHOW COLLECTIONS")]
         assert "c" in names
