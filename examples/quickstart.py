@@ -69,10 +69,14 @@ The minimal end-to-end DeepLens workflow on synthetic CCTV footage:
    (``SHOW METRICS``, ``SHOW SLOW QUERIES``);
 14. durability & recovery: every catalog mutation is an atomic
    multi-file commit through a checksummed write-ahead journal — a
-   crash at any point reopens in the last committed state. Pages, blob
-   records, and metadata blocks carry CRC32s verified on read; corrupt
-   derived state (metadata segment, statistics) is quarantined and
-   rebuilt from the blob heap, with repairs visible in
+   crash at any point reopens in the last committed state. A commit
+   costs what it changed: statistics, the metadata segment's open tail
+   and HNSW graphs persist as a base snapshot plus small deltas
+   (``deeplens_snapshot_writes_total{structure, kind}``), not as a
+   rewrite per commit. Pages, blob records, and metadata blocks carry
+   CRC32s verified on read; corrupt derived state (metadata segment,
+   statistics, ANN graphs — base or delta) is quarantined and rebuilt
+   from the blob heap, with repairs visible in
    ``db.recovery_report()`` and the journal/corruption counters in
    ``db.metrics()``. Pick the sync policy per session with
    ``DeepLens(workdir, durability="fsync"|"flush"|"none")``.
@@ -411,18 +415,37 @@ def main() -> None:
         # a write-ahead journal (catalog/journal.log) snapshots the
         # pre-state before anything is overwritten, so a crash at ANY
         # point reopens in the last committed state — never a mix.
+        # Derived structures (statistics, the metadata segment's open
+        # tail, HNSW graphs) are not rewritten per commit: each persists
+        # as a full *base* snapshot plus a chain of *deltas* holding only
+        # the rows / graph nodes added since, so ``add`` + ``sync`` costs
+        # the same at row 200 and at row 200 000; a fresh base replaces
+        # a chain once its deltas have grown to the base's size. The
+        # deltas are heap appends inside the same journal transaction,
+        # so a rolled-back commit takes them with it.
         # Every page, blob record, and metadata block also carries a
         # CRC32 verified on read: silent bit rot in primary data raises
         # a positioned CorruptionError (file + offset), while corrupt
-        # *derived* state (metadata segment, statistics snapshots) is
-        # quarantined and rebuilt from the blob heap transparently.
+        # *derived* state (a segment block, a base or delta snapshot) is
+        # quarantined and rebuilt from the blob heap transparently;
+        # db.scrub() sweeps every checksum and walks every chain.
         # The durability= knob picks the sync policy: "fsync" (default,
         # survives power loss), "flush" (survives process crash), or
         # "none" (no journal — benchmarks/throwaway stores).
         report = db.recovery_report()
+        snapshot_writes = {
+            kind: sum(
+                count
+                for series, count in db.metrics()["counters"].items()
+                if series.startswith("deeplens_snapshot_writes_total")
+                and f'kind="{kind}"' in series
+            )
+            for kind in ("base", "delta")
+        }
         print(
             f"\ndurability: journaled commits = "
             f"{counters.get('deeplens_journal_commits_total', 0)}, "
+            f"snapshot records = {snapshot_writes}, "
             f"repairs this session = {len(report['events'])}, "
             f"repair history = {len(report['history'])} events"
         )

@@ -20,15 +20,15 @@ The catalog is also the planner's :class:`~repro.core.statistics.
 StatisticsProvider`: every :meth:`MaterializedCollection.add` folds the
 patch into that collection's :class:`~repro.core.statistics.
 CollectionStatistics` (histograms, MCVs, distinct sketches, embedding
-dims), and the snapshots persist through the blob heap so cardinality
-estimates survive sessions.
+dims). Statistics, HNSW graphs and the other derived structures persist
+through one :class:`~repro.storage.snapshot_store.SnapshotStore` as a
+base plus deltas, so they survive sessions and a commit writes what
+changed, not what exists.
 """
 
 from __future__ import annotations
 
 import os
-import struct
-import zlib
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
@@ -53,6 +53,7 @@ from repro.storage.journal import CommitJournal
 from repro.storage.kvstore import BlobHeap, BlobRef, BPlusTree, Pager
 from repro.storage.kvstore import serialization
 from repro.storage.metadata_segment import CollectionSegment, MetadataSegmentStore
+from repro.storage.snapshot_store import SnapshotStore
 
 INDEX_KINDS = ("hash", "btree", "rtree", "balltree", "hnsw")
 
@@ -343,6 +344,21 @@ class Catalog:
     :meth:`create_index` are the commit barriers. ``__init__`` runs
     journal recovery *before* opening any store, so a catalog that
     crashed mid-mutation reopens in its last committed state.
+
+    Persistence of derived state: collection statistics, HNSW graphs,
+    the plan-quality and slow-query logs (and the session's video
+    registry) are objects in memory that :meth:`persist` queues and the
+    next commit barrier writes through :attr:`snapshots` — a full
+    ``to_value()`` *base* the first time, then only what the object's
+    ``take_delta()`` reports (the rows observed, the graph nodes and
+    adjacency lists touched) chained behind it, until the chain has
+    grown to the base's size and a fresh base replaces it. The meta
+    page holds two blob refs per structure (``catalog:snapshots``). The
+    records are heap appends inside the journal transaction, so a crash
+    rolls them back with everything else; a record that fails its
+    checksum or its owner's validation quarantines the chain and the
+    structure is rebuilt from the collection (statistics, graphs) or
+    restarts empty (the logs), reported through :meth:`recovery_report`.
     """
 
     def __init__(
@@ -461,17 +477,15 @@ class Catalog:
             tuple(entry[0]): dict(entry[1])
             for entry in meta.get("catalog:index_params", [])
         }
-        #: (collection, attr, 'hnsw') -> heap ref of the graph snapshot
-        self._hnsw_refs: dict[tuple[str, str, str], list] = {
-            tuple(entry[0]): list(entry[1])
-            for entry in meta.get("catalog:hnsw", [])
-        }
-        self._hnsw_dirty: set[tuple[str, str, str]] = set()
+        #: base + delta chains of every derived structure persisted in
+        #: the patch heap: ("stats", collection), ("hnsw", collection,
+        #: attr), ("plan_log",), ("slow_log",), ("videos",)
+        self.snapshots = SnapshotStore(self.heap, metrics=metrics)
+        self.snapshots.attach(meta.get("catalog:snapshots", {}))
+        #: snapshot key -> object the next commit barrier must save
+        self._unsaved: dict[tuple, Any] = {}
         #: collection name -> in-memory statistics (lazily loaded)
         self._stats: dict[str, CollectionStatistics] = {}
-        #: collection name -> heap ref of the persisted stats snapshot
-        self._stats_refs: dict[str, list] = dict(meta.get("catalog:stats", {}))
-        self._stats_dirty: set[str] = set()
         #: collection name -> monotone mutation counter (bumped per add);
         #: the lineage version materialized views record for their bases
         self._versions: dict[str, int] = dict(meta.get("catalog:versions", {}))
@@ -483,11 +497,8 @@ class Catalog:
         #: lazily-loaded plan-quality log (estimate-vs-actual history and
         #: per-predicate feedback corrections from EXPLAIN ANALYZE runs)
         self._plan_log: PlanQualityLog | None = None
-        #: heap ref of the persisted log snapshot
-        self._plan_log_ref: list | None = meta.get("catalog:plan_log")
-        #: lazily-loaded slow-query log — same snapshot idiom
+        #: lazily-loaded slow-query log — same lifecycle
         self._slow_log: SlowQueryLog | None = None
-        self._slow_log_ref: list | None = meta.get("catalog:slow_log")
         self.segments.attach(meta.get("catalog:meta_segment", {}))
 
     # -- lifecycle ------------------------------------------------------
@@ -517,39 +528,20 @@ class Catalog:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    def persist(self, key: tuple, obj: Any) -> None:
+        """Queue ``obj`` (a :class:`~repro.storage.snapshot_store.
+        SnapshotStore` client) to be saved under ``key`` by the next
+        commit barrier."""
+        self._unsaved[key] = obj
+
     def _save_meta(self) -> None:
-        for name in sorted(self._stats_dirty):
-            stats = self._stats.get(name)
-            if stats is None:
-                continue
-            payload = serialization.dumps(
-                stats.to_value(), compress_arrays=False
-            )
-            ref = self.heap.put(payload, compress=True)
-            self._stats_refs[name] = list(ref.to_tuple())
-        self._stats_dirty.clear()
-        for key in sorted(self._hnsw_dirty):
-            index = self._indexes.get(key)
-            if index is None:
-                continue
-            payload = serialization.dumps(
-                index.to_value(), compress_arrays=False
-            )
-            ref = self.heap.put(payload, compress=True)
-            self._hnsw_refs[key] = list(ref.to_tuple())
-        self._hnsw_dirty.clear()
-        if self._plan_log is not None and self._plan_log.dirty:
-            payload = serialization.dumps(
-                self._plan_log.to_value(), compress_arrays=False
-            )
-            self._plan_log_ref = list(self.heap.put(payload, compress=True).to_tuple())
-            self._plan_log.dirty = False
-        if self._slow_log is not None and self._slow_log.dirty:
-            payload = serialization.dumps(
-                self._slow_log.to_value(), compress_arrays=False
-            )
-            self._slow_log_ref = list(self.heap.put(payload, compress=True).to_tuple())
-            self._slow_log.dirty = False
+        for key, log in (("plan_log", self._plan_log), ("slow_log", self._slow_log)):
+            if log is not None and log.dirty:
+                self.snapshots.save((key,), log)
+                log.dirty = False
+        for key in sorted(self._unsaved):
+            self.snapshots.save(key, self._unsaved[key])
+        self._unsaved.clear()
         meta = self.pager.get_meta()
         meta["catalog:next_id"] = self._next_id
         meta["catalog:meta_segment"] = self.segments.flush()
@@ -560,17 +552,9 @@ class Catalog:
             [list(key), dict(params)]
             for key, params in sorted(self._index_params.items())
         ]
-        meta["catalog:hnsw"] = [
-            [list(key), list(ref)]
-            for key, ref in sorted(self._hnsw_refs.items())
-        ]
-        meta["catalog:stats"] = dict(self._stats_refs)
+        meta["catalog:snapshots"] = self.snapshots.refs()
         meta["catalog:versions"] = dict(self._versions)
         meta["catalog:fresh_versions"] = dict(self._fresh_versions)
-        if self._plan_log_ref is not None:
-            meta["catalog:plan_log"] = self._plan_log_ref
-        if self._slow_log_ref is not None:
-            meta["catalog:slow_log"] = self._slow_log_ref
         if self._recovery_log:
             meta["catalog:recovery_log"] = [dict(e) for e in self._recovery_log]
         self.pager.set_meta(meta)
@@ -615,7 +599,9 @@ class Catalog:
     def scrub(self) -> dict:
         """On-demand integrity sweep over every checksummed structure:
         pager pages (against their committed on-disk images), blob-heap
-        records of both heap files, and every collection's sealed
+        records of both heap files, every snapshot chain of both stores
+        (walked head to base: decoding and back pointers, not just the
+        record checksums), and every collection's sealed
         metadata-segment blocks (decoded end to end).
 
         Failures are collected, not raised: each lands in the returned
@@ -641,6 +627,14 @@ class Catalog:
         segment_records, segment_errors = self.segments.scrub()
         records_checked += segment_records
         note("segment-heap", segment_errors)
+        chains_checked = 0
+        for store in (self.snapshots, self.segments.snapshots):
+            # walked, never loaded: a damaged delta is reported here and
+            # quarantined only when something actually reads the chain
+            checked, chain_errors = store.scrub()
+            chains_checked += checked
+            for name, exc in chain_errors:
+                note(f"snapshot:{name}", [exc])
         blocks_checked = 0
         for name in self.collections():
             # the raw attached segment, NOT _metadata_segment(): scrub
@@ -653,6 +647,7 @@ class Catalog:
         return {
             "pages_checked": pages_checked,
             "records_checked": records_checked,
+            "snapshot_records_checked": chains_checked,
             "blocks_checked": blocks_checked,
             "errors": errors,
         }
@@ -708,10 +703,9 @@ class Catalog:
             ]
             for key in [k for k in self._indexes if k[0] == name]:
                 del self._indexes[key]
-            for store in (self._index_params, self._hnsw_refs):
-                for key in [k for k in store if k[0] == name]:
-                    del store[key]
-            self._hnsw_dirty = {k for k in self._hnsw_dirty if k[0] != name}
+            for key in [k for k in self._index_params if k[0] == name]:
+                del self._index_params[key]
+                self._forget(("hnsw", *key[:2]))
             self.drop_statistics(name)
             # replacing is a mutation even when zero rows follow (an
             # emptied base must still invalidate dependent views)
@@ -762,77 +756,47 @@ class Catalog:
 
     # -- plan quality (EXPLAIN ANALYZE feedback) --------------------------
 
-    def _load_snapshot(self, ref_value: list, what: str, loader):
-        """Load + decode one heap-persisted snapshot through ``loader``
-        (a ``from_value`` classmethod); every failure — checksum, short
-        read, undecodable content, a shape ``loader`` rejects — surfaces
-        as one positioned :class:`CorruptionError` so callers can
-        quarantine."""
-        ref = BlobRef.from_tuple(tuple(ref_value))
-        try:
-            return loader(serialization.loads(self.heap.get(ref)))
-        except CorruptionError:
-            raise
-        except (
-            StorageError,
-            zlib.error,
-            struct.error,
-            ValueError,
-            KeyError,
-            TypeError,
-            IndexError,
-            AttributeError,
-        ) as exc:
-            raise CorruptionError(
-                f"undecodable {what} snapshot: {exc}",
-                file=self.heap.path,
-                offset=ref.offset,
-            ) from exc
+    def _load_derived(self, key: tuple, from_value, event: str, **details):
+        """Load a derived structure from its snapshot chain. A corrupt
+        chain is quarantined and recorded as recovery event ``event``;
+        the caller then rebuilds (or restarts empty) on ``None``."""
+        return self.snapshots.load(
+            key,
+            from_value,
+            on_corrupt=lambda exc: self._record_recovery_event(
+                event, detail=str(exc), **details
+            ),
+        )
+
+    def _forget(self, key: tuple) -> None:
+        """Drop a structure's chain and any save queued for it."""
+        self.snapshots.drop(key)
+        self._unsaved.pop(key, None)
 
     def plan_quality_log(self) -> PlanQualityLog:
         """The catalog's plan-quality log: estimate-vs-actual history per
         parameterized plan fingerprint plus per-predicate observed
-        selectivities. Lazily loaded from its persisted snapshot; flushed
-        back (when dirty) by :meth:`_save_meta` like statistics. A corrupt
-        snapshot is dropped (it is advisory history), recorded as a
-        recovery event, and the log restarts empty."""
+        selectivities. Lazily loaded from its snapshot; saved back in
+        full (when dirty) by :meth:`_save_meta`. A corrupt snapshot is
+        dropped (it is advisory history), recorded as a recovery event,
+        and the log restarts empty."""
         if self._plan_log is None:
-            if self._plan_log_ref is not None:
-                try:
-                    self._plan_log = self._load_snapshot(
-                        self._plan_log_ref,
-                        "plan-quality log",
-                        PlanQualityLog.from_value,
-                    )
-                except CorruptionError as exc:
-                    self._plan_log_ref = None
-                    self._record_recovery_event(
-                        "plan_log_reset", detail=str(exc)
-                    )
-            if self._plan_log is None:
-                self._plan_log = PlanQualityLog()
+            log = self._load_derived(
+                ("plan_log",), PlanQualityLog.from_value, "plan_log_reset"
+            )
+            self._plan_log = PlanQualityLog() if log is None else log
         return self._plan_log
 
     def slow_query_log(self) -> SlowQueryLog:
         """The catalog's slow-query log: bounded history of queries whose
         wall time crossed the threshold, with span trees and counter
-        deltas. Same lazy-load / dirty-flush (and corruption-reset)
+        deltas. Same lazy-load / dirty-save (and corruption-reset)
         lifecycle as the plan log."""
         if self._slow_log is None:
-            if self._slow_log_ref is not None:
-                try:
-                    self._slow_log = self._load_snapshot(
-                        self._slow_log_ref,
-                        "slow-query log",
-                        SlowQueryLog.from_value,
-                    )
-                except CorruptionError as exc:
-                    self._slow_log_ref = None
-                    self._record_recovery_event(
-                        "slow_log_reset", detail=str(exc)
-                    )
-            if self._slow_log is None:
-                self._slow_log = SlowQueryLog()
+            log = self._load_derived(
+                ("slow_log",), SlowQueryLog.from_value, "slow_log_reset"
+            )
+            self._slow_log = SlowQueryLog() if log is None else log
         return self._slow_log
 
     # -- cardinality statistics -----------------------------------------
@@ -851,24 +815,19 @@ class Catalog:
         scan of the collection (or dropped to the fallback constants when
         the collection itself is gone).
         """
+        key = ("stats", collection_name)
         stats = self._stats.get(collection_name)
-        if stats is None and collection_name in self._stats_refs:
-            try:
-                stats = self._load_snapshot(
-                    self._stats_refs[collection_name],
-                    f"statistics[{collection_name}]",
-                    CollectionStatistics.from_value,
-                )
+        if stats is None and key in self.snapshots:
+            stats = self._load_derived(
+                key,
+                CollectionStatistics.from_value,
+                "stats_rebuilt",
+                collection=collection_name,
+            )
+            if stats is not None:
                 self._stats[collection_name] = stats
-            except CorruptionError as exc:
-                self._stats_refs.pop(collection_name, None)
-                self._record_recovery_event(
-                    "stats_rebuilt", collection=collection_name, detail=str(exc)
-                )
-                if collection_name in self._collections:
-                    stats = self.rebuild_statistics(collection_name)
-                else:
-                    return None
+            elif collection_name in self._collections:
+                stats = self.rebuild_statistics(collection_name)
         if stats is not None:
             stats.staleness = self.mutations_since_fresh(collection_name)
         return stats
@@ -882,7 +841,7 @@ class Catalog:
         for patch in collection.scan():
             stats.observe(patch)
         self._stats[collection_name] = stats
-        self._stats_dirty.add(collection_name)
+        self.persist(("stats", collection_name), stats)
         # a full-scan rebuild re-baselines staleness: the profile now
         # reflects every row
         self._fresh_versions[collection_name] = self.collection_version(
@@ -894,8 +853,7 @@ class Catalog:
         """Forget a collection's statistics (planner falls back to
         constants until they are rebuilt)."""
         self._stats.pop(collection_name, None)
-        self._stats_refs.pop(collection_name, None)
-        self._stats_dirty.discard(collection_name)
+        self._forget(("stats", collection_name))
 
     def _record_statistics(self, collection_name: str, patch: Patch) -> None:
         stats = self.statistics_for(collection_name)
@@ -910,7 +868,7 @@ class Catalog:
             stats = CollectionStatistics()
             self._stats[collection_name] = stats
         stats.observe(patch)
-        self._stats_dirty.add(collection_name)
+        self.persist(("stats", collection_name), stats)
 
     # -- indexes ------------------------------------------------------------
 
@@ -959,7 +917,7 @@ class Catalog:
         self._multi_value.add(key) if multi_value else None
         if kind == "hnsw":
             # the graph snapshot rides the same commit as its registration
-            self._hnsw_dirty.add(key)
+            self.persist(("hnsw", collection_name, attr), index)
         # commit barrier: index pages + registration land atomically
         self.sync()
         return index
@@ -979,32 +937,20 @@ class Catalog:
                     else BTreeIndex(self.pager, name)
                 )
             elif kind == "hnsw":
-                # the graph reloads from its heap snapshot; a corrupt
-                # snapshot is quarantined and the graph rebuilt from the
+                # the graph reloads from its snapshot chain; a corrupt
+                # chain is quarantined and the graph rebuilt from the
                 # collection (the source of truth), like statistics
-                index = None
-                ref = self._hnsw_refs.get(key)
-                if ref is not None:
-                    try:
-                        index = self._load_snapshot(
-                            ref,
-                            f"hnsw[{collection_name}.{attr}]",
-                            lambda value: HNSWIndex.from_value(
-                                value, metrics=self.metrics
-                            ),
-                        )
-                    except CorruptionError as exc:
-                        self._hnsw_refs.pop(key, None)
-                        self._record_recovery_event(
-                            "hnsw_rebuilt",
-                            collection=collection_name,
-                            attr=attr,
-                            detail=str(exc),
-                        )
+                index = self._load_derived(
+                    ("hnsw", collection_name, attr),
+                    lambda value: HNSWIndex.from_value(value, metrics=self.metrics),
+                    "hnsw_rebuilt",
+                    collection=collection_name,
+                    attr=attr,
+                )
                 if index is None:
                     collection = self.collection(collection_name)
                     index = self._build_index(collection, attr, kind, None)
-                    self._hnsw_dirty.add(key)
+                    self.persist(("hnsw", collection_name, attr), index)
             else:
                 # multi-dimensional indexes are memory-resident: rebuild
                 collection = self.collection(collection_name)
@@ -1111,7 +1057,7 @@ class Catalog:
             index = self.get_index(name, attr, kind)
             if patch.patch_id not in index:
                 index.add(vector, patch.patch_id)
-            self._hnsw_dirty.add(key)
+                self.persist(("hnsw", name, attr), index)
 
 
 def _patch_vector(patch: Patch, attr: str, feature_fn) -> np.ndarray | None:

@@ -114,6 +114,14 @@ from repro.errors import QueryError, StorageError
 from repro.storage.formats import VideoStore, load_patches, open_store
 
 
+class _VideoRegistry(dict):
+    """Ingested videos, ``name -> {"layout", "kwargs"}``: a plain dict
+    the catalog's snapshot store can save (in full — it is tiny)."""
+
+    def to_value(self) -> dict:
+        return dict(self)
+
+
 class DeepLens:
     """A visual data management session over one database directory.
 
@@ -215,14 +223,18 @@ class DeepLens:
     mid-mutation, the next open replays the journal — restoring page
     before-images and truncating the append-only heaps back to their
     recorded ends — so the store reopens in exactly the pre-mutation
-    state (all-or-nothing, never a mix). Every pager page, blob-heap
-    record, and metadata-segment block also carries a CRC32 checksum
-    verified on read; silent corruption raises
+    state (all-or-nothing, never a mix). A commit writes what changed:
+    statistics, the metadata segment's open tail and HNSW graphs persist
+    as a base snapshot plus a chain of deltas through one
+    :class:`~repro.storage.snapshot_store.SnapshotStore` (counted in
+    ``deeplens_snapshot_writes_total{structure, kind}``). Every pager
+    page, blob-heap record, and metadata-segment block also carries a
+    CRC32 checksum verified on read; silent corruption raises
     :class:`~repro.errors.CorruptionError` naming the file and offset.
-    Corruption in *derived* files degrades gracefully: a bad
-    ``metadata.seg`` block or stale statistics snapshot is quarantined
-    and rebuilt from the blob heap (the source of truth), and the
-    rebuild is counted in :meth:`metrics` (``deeplens_segment_rebuilds_
+    Corruption in *derived* state degrades gracefully: a bad
+    ``metadata.seg`` block or a damaged base or delta snapshot is
+    quarantined and rebuilt from the blob heap (the source of truth), the
+    rebuild counted in :meth:`metrics` (``deeplens_segment_rebuilds_
     total``, ``deeplens_corruption_detected_total``). Corruption in the
     blob heap itself — primary data — is surfaced, never papered over.
 
@@ -298,8 +310,11 @@ class DeepLens:
         self.udfs = default_registry()
         self._videos: dict[str, VideoStore] = {}
         self._video_dir = os.path.join(self.workdir, "videos")
-        meta = self.catalog.pager.get_meta()
-        self._video_registry: dict[str, dict] = dict(meta.get("videos", {}))
+        # the registry is a blob behind a ref, not a meta-page entry: it
+        # grows with every ingested video and the meta page is one page.
+        # It is not derived state, so a corrupt snapshot raises
+        registry = self.catalog.snapshots.load(("videos",), _VideoRegistry)
+        self._video_registry = _VideoRegistry() if registry is None else registry
 
     # -- lifecycle ------------------------------------------------------
 
@@ -307,9 +322,6 @@ class DeepLens:
         for store in self._videos.values():
             store.close()
         self._videos.clear()
-        meta = self.catalog.pager.get_meta()
-        meta["videos"] = self._video_registry
-        self.catalog.pager.set_meta(meta)
         self.catalog.close()
 
     def __enter__(self) -> "DeepLens":
@@ -335,6 +347,7 @@ class DeepLens:
         store.ingest(frames)
         self._videos[name] = store
         self._video_registry[name] = {"layout": layout, "kwargs": layout_kwargs}
+        self.catalog.persist(("videos",), self._video_registry)
         return store
 
     def video(self, name: str) -> VideoStore:

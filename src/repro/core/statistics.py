@@ -20,10 +20,13 @@ like Deep Lake and VDMS keep next to the visual data:
 
 Statistics are collected **incrementally** at
 :meth:`~repro.core.catalog.MaterializedCollection.add` time and persisted
-through the catalog's kvstore, so they survive sessions. Every update is
-deterministic in insertion order, which makes an incremental build
-bit-identical to a from-scratch rebuild over the same rows — the property
-the consistency tests pin down.
+through the catalog's snapshot store — a full snapshot as the base, then
+per commit only the rows observed since (replayed on load through the
+same update path) — so they survive sessions at a cost per commit that
+does not grow with the collection. Every update is deterministic in
+insertion order, which makes an incremental build, a base + deltas
+reload, and a from-scratch rebuild over the same rows bit-identical —
+the property the consistency tests pin down.
 
 Estimates carry their *source* so ``explain()`` can say which statistic
 backed each decision: ``histogram`` (equi-depth interpolation),
@@ -53,7 +56,8 @@ from repro.core.expressions import (
     Not,
     Or,
 )
-from repro.core.patch import LINEAGE_KEY, Patch
+from repro.core.patch import LINEAGE_KEY, Patch, _normalize_meta
+from repro.storage.kvstore import serialization
 
 #: buckets in the equi-depth histogram for numeric attributes
 HISTOGRAM_BUCKETS = 32
@@ -405,14 +409,17 @@ class AttributeStatistics:
     # -- persistence -----------------------------------------------------
 
     def to_value(self) -> dict:
-        """A kvstore-serializable snapshot (plain scalars/lists only)."""
+        """A kvstore-serializable snapshot. The long numeric runs (the
+        retained sample, the KMV hashes) travel as ndarrays — one
+        serializer value each instead of a tagged scalar per element;
+        ``from_value`` restores the same Python lists."""
         return {
             "count": self.count,
             "null_count": self.null_count,
             "min": _plain(self.min_value) if self.min_value is not None else None,
             "max": _plain(self.max_value) if self.max_value is not None else None,
             "numeric_count": self.numeric_count,
-            "values": list(self._numeric_values)
+            "values": np.array(self._numeric_values, dtype=np.float64)
             if self.bucket_edges is None
             else None,
             "edges": list(self.bucket_edges) if self.bucket_edges else None,
@@ -424,7 +431,7 @@ class AttributeStatistics:
             "untracked_count": self.untracked_count,
             "vector_count": self.vector_count,
             "dim_total": self._dim_total,
-            "kmv": list(self._kmv),
+            "kmv": np.array(self._kmv, dtype=np.uint64),
         }
 
     @classmethod
@@ -435,7 +442,8 @@ class AttributeStatistics:
         stats.min_value = value["min"]
         stats.max_value = value["max"]
         stats.numeric_count = value["numeric_count"]
-        stats._numeric_values = list(value["values"] or [])
+        values = value["values"]
+        stats._numeric_values = [] if values is None else values.tolist()
         stats.bucket_edges = list(value["edges"]) if value["edges"] else None
         stats.bucket_counts = list(value["buckets"]) if value["buckets"] else None
         stats.value_counts = {
@@ -445,7 +453,7 @@ class AttributeStatistics:
         stats.untracked_count = value["untracked_count"]
         stats.vector_count = value["vector_count"]
         stats._dim_total = value["dim_total"]
-        stats._kmv = list(value["kmv"])
+        stats._kmv = value["kmv"].tolist()
         stats._kmv_full = len(stats._kmv) == KMV_SIZE
         return stats
 
@@ -468,27 +476,47 @@ class CollectionStatistics:
         #: snapshot (it is bookkeeping about the *collection*, not part of
         #: the statistical profile, so it stays out of ``to_value``)
         self.staleness = 0
+        #: serialized rows observed since the last persist (the snapshot
+        #: store's delta); ``None`` while this object continues no
+        #: persisted state — a fresh build or rebuild pays no row log
+        self._pending: list[bytes] | None = None
 
     # -- collection -----------------------------------------------------
 
     def observe(self, patch: Patch) -> None:
         """Fold one materialized patch into the statistics."""
+        size = int(patch.data.size)
+        sample = None
+        if size and len(self._data_sample) < DATA_SAMPLE_SIZE:
+            flat = np.asarray(patch.data, dtype=np.float64).ravel()
+            sample = flat
+            if size > DATA_SAMPLE_MAX_DIM:
+                stride = np.linspace(0, size - 1, DATA_SAMPLE_MAX_DIM).astype(
+                    np.int64
+                )
+                sample = flat[stride]
+            sample = sample.copy()
+        metadata = _normalize_meta(patch.metadata)
+        metadata.pop(LINEAGE_KEY, None)
+        self._fold(size, sample, metadata)
+        if self._pending is not None:
+            # serialized now, like the patch record itself: a caller
+            # mutating the patch after ``add`` cannot change the delta
+            self._pending.append(
+                serialization.dumps([size, sample, metadata], compress_arrays=False)
+            )
+
+    def _fold(self, size: int, sample: np.ndarray | None, metadata: dict) -> None:
+        """The one update path: live observation and delta replay both
+        land here, so state folded from base + deltas is bit-identical
+        to the state that was in memory (and to a from-scratch rebuild)."""
         self.row_count += 1
-        if patch.data.size:
+        if size:
             self.data_count += 1
-            self._data_dim_total += int(patch.data.size)
-            if len(self._data_sample) < DATA_SAMPLE_SIZE:
-                flat = np.asarray(patch.data, dtype=np.float64).ravel()
-                kept = flat
-                if flat.size > DATA_SAMPLE_MAX_DIM:
-                    stride = np.linspace(
-                        0, flat.size - 1, DATA_SAMPLE_MAX_DIM
-                    ).astype(np.int64)
-                    kept = flat[stride]
-                self._data_sample.append((int(flat.size), kept.copy()))
-        for key, value in patch.metadata.items():
-            if key == LINEAGE_KEY:
-                continue
+            self._data_dim_total += size
+            if sample is not None:
+                self._data_sample.append((size, sample))
+        for key, value in metadata.items():
             self.attrs.setdefault(key, AttributeStatistics()).observe(value)
 
     # -- derived ---------------------------------------------------------
@@ -600,10 +628,7 @@ class CollectionStatistics:
             "row_count": self.row_count,
             "data_count": self.data_count,
             "data_dim_total": self._data_dim_total,
-            "data_sample": [
-                [dim, [float(x) for x in vec]]
-                for dim, vec in self._data_sample
-            ],
+            "data_sample": [[dim, vec] for dim, vec in self._data_sample],
             "attrs": {
                 name: stats.to_value()
                 for name, stats in sorted(self.attrs.items())
@@ -616,16 +641,29 @@ class CollectionStatistics:
         stats.row_count = value["row_count"]
         stats.data_count = value["data_count"]
         stats._data_dim_total = value["data_dim_total"]
-        # pre-sample snapshots (earlier sessions) simply have no sample
         stats._data_sample = [
             (int(dim), np.asarray(vec, dtype=np.float64))
-            for dim, vec in value.get("data_sample", [])
+            for dim, vec in value["data_sample"]
         ]
         stats.attrs = {
             name: AttributeStatistics.from_value(attr_value)
             for name, attr_value in value["attrs"].items()
         }
+        stats._pending = []
         return stats
+
+    def take_delta(self) -> list[bytes] | None:
+        """Snapshot-store protocol: the rows observed since the previous
+        call (or since :meth:`from_value`), ``None`` when this object was
+        built or rebuilt in memory and must be saved in full."""
+        pending, self._pending = self._pending, []
+        return pending
+
+    def apply_delta(self, rows: list[bytes]) -> None:
+        """Replay one persisted delta through :meth:`_fold`."""
+        for row in rows:
+            size, sample, metadata = serialization.loads(row)
+            self._fold(size, sample, metadata)
 
 
 # -- sampled join selectivity --------------------------------------------------

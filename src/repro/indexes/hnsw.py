@@ -100,6 +100,12 @@ class HNSWIndex:
         self._graph: list[list[list[int]]] = []
         self._entry = -1
         self._max_level = -1
+        #: delta tracking for the snapshot store: node count at the last
+        #: persist and the positions whose adjacency ``add`` rewrote
+        #: since. ``None`` while the graph continues no persisted state
+        #: (a fresh build tracks nothing and is saved in full)
+        self._persisted_n = 0
+        self._touched: set[int] | None = None
         #: probe accounting of the most recent ``search`` call
         self.last_stats: dict[str, int] = {"hops": 0, "candidates": 0}
         self._hops = 0
@@ -257,6 +263,8 @@ class HNSWIndex:
             cap = self.m0 if layer == 0 else self.m
             chosen = self._select_neighbors(nearest, self.m)
             self._graph[pos][layer] = list(chosen)
+            if self._touched is not None:
+                self._touched.update(chosen)
             for neighbor in chosen:
                 links = self._graph[neighbor][layer]
                 links.append(pos)
@@ -375,29 +383,50 @@ class HNSWIndex:
 
     # -- persistence ----------------------------------------------------
 
-    def to_value(self) -> dict:
-        """Snapshot for the catalog's heap-persisted index pages: the
-        adjacency lists flatten to three int64 arrays (CSR over the
-        (node, layer) pairs in insertion order)."""
+    def _csr(self, positions: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Adjacency of ``positions`` flattened CSR-style: per (node,
+        layer) pair a link count, and the links end to end."""
         counts: list[int] = []
         flat: list[int] = []
-        for layers in self._graph:
-            for links in layers:
+        for pos in positions:
+            for links in self._graph[pos]:
                 counts.append(len(links))
                 flat.extend(links)
+        return np.array(counts, dtype=np.int64), np.array(flat, dtype=np.int64)
+
+    def to_value(self) -> dict:
+        """The full snapshot (a snapshot-store *base*): the build knobs
+        plus :meth:`_nodes_value` over every node — ids/levels/vectors
+        and all adjacency lists flattened to two int64 arrays (CSR over
+        the (node, layer) pairs in insertion order). Between bases the
+        catalog persists only :meth:`take_delta` — the same shape
+        restricted to the nodes ``add`` appended and the adjacency lists
+        it rewrote — so a commit costs what the inserts touched, not the
+        whole graph."""
         return {
             "dim": self.dim,
             "m": self.m,
             "ef_construction": self.ef_construction,
             "ef_search": self.ef_search,
             "seed": self.seed,
+            **self._nodes_value(0, range(self._n)),
+        }
+
+    def _nodes_value(self, start: int, nodes: Iterable[int]) -> dict:
+        """Nodes ``start..n`` (ids, levels, vectors) and the current
+        adjacency of ``nodes``, which must include them."""
+        nodes = list(nodes)
+        counts, flat = self._csr(nodes)
+        return {
+            "start": start,
             "entry": self._entry,
             "max_level": self._max_level,
-            "ids": np.array(self._ids, dtype=np.int64),
-            "levels": np.array(self._levels, dtype=np.int64),
-            "vectors": np.array(self._vectors[: self._n], dtype=np.float64),
-            "counts": np.array(counts, dtype=np.int64),
-            "flat": np.array(flat, dtype=np.int64),
+            "ids": np.array(self._ids[start:], dtype=np.int64),
+            "levels": np.array(self._levels[start:], dtype=np.int64),
+            "vectors": np.array(self._vectors[start : self._n], dtype=np.float64),
+            "nodes": np.array(nodes, dtype=np.int64),
+            "counts": counts,
+            "flat": flat,
         }
 
     @classmethod
@@ -413,42 +442,75 @@ class HNSWIndex:
             seed=int(value["seed"]),
             metrics=metrics,
         )
+        index._touched = set()
+        index.apply_delta(value)
+        return index
+
+    def take_delta(self) -> dict | None:
+        """Snapshot-store protocol: the nodes appended since the previous
+        call (or since :meth:`from_value`) plus the current adjacency of
+        every node whose links ``add`` rewrote; ``None`` when this graph
+        was built in memory and must be saved in full."""
+        touched, self._touched = self._touched, set()
+        start, self._persisted_n = self._persisted_n, self._n
+        if touched is None:
+            return None
+        return self._nodes_value(
+            start, sorted(touched | set(range(start, self._n)))
+        )
+
+    def apply_delta(self, value: dict) -> None:
+        """Fold one persisted record (a base is the delta from an empty
+        graph): append its nodes, overwrite the adjacency lists it
+        carries, and re-run the CSR consistency validation on everything
+        folded — array shapes against levels, every neighbor an existing
+        node, the entry point on the top layer."""
         ids = np.asarray(value["ids"], dtype=np.int64)
         levels = np.asarray(value["levels"], dtype=np.int64)
         vectors = np.asarray(value["vectors"], dtype=np.float64)
+        nodes = np.asarray(value["nodes"], dtype=np.int64)
         counts = np.asarray(value["counts"], dtype=np.int64)
         flat = np.asarray(value["flat"], dtype=np.int64)
-        n = len(ids)
-        if vectors.shape != (n, index.dim) or len(levels) != n:
+        entry, max_level = int(value["entry"]), int(value["max_level"])
+        if int(value["start"]) != self._n:
             raise ValueError(
-                f"hnsw snapshot shape mismatch: {n} ids, "
+                f"hnsw snapshot starts at node {value['start']}, graph has {self._n}"
+            )
+        if vectors.shape != (len(ids), self.dim) or len(levels) != len(ids):
+            raise ValueError(
+                f"hnsw snapshot shape mismatch: {len(ids)} ids, "
                 f"{vectors.shape} vectors, {len(levels)} levels"
             )
-        if len(counts) != int((levels + 1).sum()) or counts.sum() != len(flat):
+        n = self._n + len(ids)
+        all_levels = self._levels + levels.tolist()
+        if min(all_levels[self._n :], default=0) < 0 or (
+            len(nodes) and not 0 <= nodes.min() <= nodes.max() < n
+        ):
+            raise ValueError("hnsw snapshot node or level out of range")
+        if (
+            len(counts) != sum(all_levels[pos] + 1 for pos in nodes.tolist())
+            or counts.sum() != len(flat)
+            or (len(counts) and counts.min() < 0)
+        ):
             raise ValueError("hnsw snapshot adjacency arrays disagree")
-        if n and (flat.min(initial=0) < 0 or flat.max(initial=0) >= n):
+        if len(flat) and (flat.min() < 0 or flat.max() >= n):
             raise ValueError("hnsw snapshot neighbor out of range")
-        entry = int(value["entry"])
-        max_level = int(value["max_level"])
-        if n and not (0 <= entry < n and levels[entry] == max_level):
+        if n and not (0 <= entry < n and all_levels[entry] == max_level):
             raise ValueError("hnsw snapshot entry point is inconsistent")
-        index._n = n
-        index._vectors = vectors.copy()
-        index._ids = [int(i) for i in ids]
-        index._id_set = set(index._ids)
-        index._levels = [int(l) for l in levels]
-        graph: list[list[list[int]]] = []
-        cursor = 0
-        offset = 0
-        for level in index._levels:
-            layers = []
-            for _ in range(level + 1):
+        self._vectors = np.concatenate([self._vectors[: self._n], vectors])
+        self._n = self._persisted_n = n
+        self._ids.extend(ids.tolist())
+        self._id_set.update(ids.tolist())
+        self._levels = all_levels
+        self._graph.extend([[] for _ in range(level + 1)] for level in levels.tolist())
+        links = flat.tolist()
+        cursor = offset = 0
+        for pos in nodes.tolist():
+            layers = self._graph[pos]
+            for layer in range(len(layers)):
                 span = int(counts[cursor])
                 cursor += 1
-                layers.append([int(p) for p in flat[offset : offset + span]])
+                layers[layer] = links[offset : offset + span]
                 offset += span
-            graph.append(layers)
-        index._graph = graph
-        index._entry = entry
-        index._max_level = max_level
-        return index
+        self._entry = entry
+        self._max_level = max_level

@@ -29,7 +29,6 @@ pruning rather than risk dropping a matching row.
 
 from __future__ import annotations
 
-import struct
 import threading
 import zlib
 from bisect import bisect_left
@@ -38,13 +37,17 @@ from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-from repro.errors import CorruptionError, StorageError
+from repro.errors import CorruptionError
 from repro.storage.kvstore import BlobHeap, BlobRef, serialization
+from repro.storage.snapshot_store import DECODE_ERRORS, SnapshotStore
 
 #: rows per sealed block — one zone-map entry and one column read each
 BLOCK_ROWS = 1024
 #: columns smaller than this are stored raw (zlib header overhead wins)
 COLUMN_COMPRESS_MIN = 64
+
+#: snapshot-store structure kind of a segment descriptor chain
+SEGMENT = "segment"
 
 GROUP_NUMERIC = "num"
 GROUP_STRING = "str"
@@ -213,6 +216,15 @@ def _pack_values(values: list) -> list:
         return ["s", "".join(values), lengths]
     if kinds == {type(None)}:
         return ["n", len(values)]
+    if kinds == {np.ndarray}:
+        first = values[0]
+        if all(
+            value.dtype == first.dtype and value.shape == first.shape
+            for value in values
+        ) and first.dtype != object:
+            # same-shape vectors (embeddings, histograms): one stacked
+            # array instead of a serialized ndarray per row
+            return ["a", np.stack(values)]
     if kinds == {tuple}:
         width = len(values[0])
         if width and all(len(value) == width for value in values):
@@ -224,21 +236,27 @@ def _pack_values(values: list) -> list:
     return ["o", list(values)]
 
 
-def _unpack_values(packed: list) -> list:
+def _unpack_values(packed: list, positions: list[int] | None = None) -> list:
+    """Decode one typed run; with ``positions``, only those entries (in
+    that order) are materialized as Python objects."""
     kind = packed[0]
     if kind == "o":
-        return packed[1]
+        values = packed[1]
+        return values if positions is None else [values[i] for i in positions]
     if kind == "n":
-        return [None] * packed[1]
+        return [None] * (packed[1] if positions is None else len(positions))
     if kind == "s":
-        joined, out, pos = packed[1], [], 0
-        for length in packed[2].tolist():
-            out.append(joined[pos : pos + length])
-            pos += length
-        return out
+        joined, ends = packed[1], np.cumsum(packed[2])
+        starts = ends - packed[2]
+        if positions is not None:
+            starts, ends = starts[positions], ends[positions]
+        return [joined[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
     if kind == "t":
-        return list(zip(*(_unpack_values(run) for run in packed[2])))
-    return packed[1].tolist()  # "i"/"f": back to plain int/float
+        return list(zip(*(_unpack_values(run, positions) for run in packed[2])))
+    array = packed[1] if positions is None else packed[1][positions]
+    if kind == "a":
+        return [row.copy() for row in array]  # rows own their data
+    return array.tolist()  # "i"/"f": back to plain int/float
 
 
 def _pack_column(values: list, present: list[bool]) -> bytes:
@@ -254,10 +272,16 @@ def _pack_column(values: list, present: list[bool]) -> bytes:
     return b"r" + raw
 
 
-def _unpack_column(blob: bytes) -> tuple[list | None, list]:
+def _unpack_column(
+    blob: bytes, positions: list[int] | None = None
+) -> tuple[list | None, list]:
+    """(presence mask, values) of one column, both aligned with
+    ``positions`` when given (else with the block's rows)."""
     raw = zlib.decompress(blob[1:]) if blob[:1] == b"z" else blob[1:]
     mask, packed = serialization.loads(raw)
-    return mask, _unpack_values(packed)
+    if mask is not None and positions is not None:
+        mask = [mask[i] for i in positions]
+    return mask, _unpack_values(packed, positions)
 
 
 @dataclass
@@ -332,6 +356,11 @@ class CollectionSegment:
         self._blocks: list[_Block] = []
         #: (patch_id, ref value tuple, serialized metadata)
         self._tail: list[tuple[int, tuple, bytes]] = []
+        #: tail rows the persisted descriptor chain already holds — the
+        #: snapshot store's delta is everything after them. ``None`` when
+        #: the sealed blocks changed since the last persist (a seal, a
+        #: rebuild, a fresh segment): only a full descriptor can follow
+        self._persisted_tail: int | None = None
         self._lock = threading.RLock()
         self.dirty = False
 
@@ -357,6 +386,7 @@ class CollectionSegment:
         with self._lock:
             self._blocks = []
             self._tail = []
+            self._persisted_tail = None
             self.dirty = True
             for patch_id, ref_value, metadata in rows:
                 self.append(patch_id, ref_value, metadata)
@@ -403,24 +433,20 @@ class CollectionSegment:
             _Block(ref, len(rows), rows[0][0], rows[-1][0], zones)
         )
         self._tail = []
+        self._persisted_tail = None
 
     # -- reads ----------------------------------------------------------
 
-    def _decode_block(self, block: _Block) -> list[Row]:
+    def _decode_block(self, block: _Block, wanted: set[int] | None = None) -> list[Row]:
+        """Rows of one sealed block; with ``wanted``, only the rows whose
+        patch id is in it (columns are unpacked once either way, but no
+        metadata dict is built for a row nobody asked for)."""
         try:
             value = serialization.loads(self._heap.get(block.ref))
-            return self._rows_of(value)
+            return self._rows_of(value, wanted)
         except CorruptionError:
             raise  # already positioned (heap checksum / short read)
-        except (
-            StorageError,
-            zlib.error,
-            struct.error,
-            ValueError,
-            KeyError,
-            TypeError,
-            IndexError,
-        ) as exc:
+        except DECODE_ERRORS as exc:
             # the checksum passed but the content does not decode (e.g. a
             # pre-checksum v1 heap took a bit flip): same corruption, one
             # typed positioned error instead of a codec traceback
@@ -430,16 +456,25 @@ class CollectionSegment:
                 offset=block.ref.offset,
             ) from exc
 
-    def _rows_of(self, value: dict) -> list[Row]:
+    def _rows_of(self, value: dict, wanted: set[int] | None = None) -> list[Row]:
         ids = value["ids"].tolist()
+        positions = None
+        if wanted is not None:
+            positions = [i for i, patch_id in enumerate(ids) if patch_id in wanted]
+            ids = [ids[i] for i in positions]
         shape, width, packed = value["refs"]
         if shape == "cols":
-            runs = [_unpack_values(run) for run in packed]
+            runs = [_unpack_values(run, positions) for run in packed]
             refs = list(zip(*runs)) if width else [()] * len(ids)
         else:
-            refs = [tuple(ref_value) for ref_value in packed]
-        attrs = value["attrs"]
-        unpacked = [(attr, _unpack_column(value["cols"][attr])) for attr in attrs]
+            refs = [
+                tuple(packed[i])
+                for i in (range(len(packed)) if positions is None else positions)
+            ]
+        unpacked = [
+            (attr, _unpack_column(value["cols"][attr], positions))
+            for attr in value["attrs"]
+        ]
         rows: list[Row] = []
         for i, (patch_id, ref_value) in enumerate(zip(ids, refs)):
             metadata = {}
@@ -517,9 +552,8 @@ class CollectionSegment:
                 tail_ids.add(patch_id)
         found: dict[int, Row] = {}
         for position, targets in wanted.items():
-            for row in self._decode_block(blocks[position]):
-                if row[0] in targets:
-                    found[row[0]] = row
+            for row in self._decode_block(blocks[position], targets):
+                found[row[0]] = row
         for patch_id, ref_value, payload in tail:
             if patch_id in tail_ids:
                 found[patch_id] = (
@@ -614,14 +648,13 @@ class CollectionSegment:
     # -- persistence ----------------------------------------------------
 
     def to_value(self) -> dict:
+        """The full descriptor (a snapshot-store *base*): sealed-block
+        refs with their zone maps, plus the open tail as it stands."""
         with self._lock:
             return {
                 "block_rows": self.block_rows,
                 "blocks": [block.to_value() for block in self._blocks],
-                "tail": [
-                    [patch_id, list(ref_value), payload]
-                    for patch_id, ref_value, payload in self._tail
-                ],
+                "tail": _tail_value(self._tail),
             }
 
     @classmethod
@@ -632,21 +665,59 @@ class CollectionSegment:
             heap, name, block_rows=int(value["block_rows"]), metrics=metrics
         )
         segment._blocks = [_Block.from_value(entry) for entry in value["blocks"]]
-        segment._tail = [
-            (int(patch_id), tuple(ref_value), payload)
-            for patch_id, ref_value, payload in value["tail"]
-        ]
+        segment.apply_delta(value["tail"])
         return segment
+
+    def take_delta(self) -> list | None:
+        """Snapshot-store protocol: the tail rows appended since the
+        previous call (or since :meth:`from_value`); ``None`` when the
+        sealed blocks changed, which only a full descriptor records —
+        so sealing a block starts a new base."""
+        with self._lock:
+            start, self._persisted_tail = self._persisted_tail, len(self._tail)
+            return None if start is None else _tail_value(self._tail[start:])
+
+    def apply_delta(self, rows: list) -> None:
+        """Fold persisted tail rows. Ids must keep ascending (scans and
+        point lookups bisect on that) and the tail must stay open."""
+        with self._lock:
+            last = self._tail[-1][0] if self._tail else (
+                self._blocks[-1].max_id if self._blocks else -1
+            )
+            for patch_id, ref_value, payload in rows:
+                if int(patch_id) <= last:
+                    raise ValueError(
+                        f"segment tail row {patch_id} does not follow row {last}"
+                    )
+                last = int(patch_id)
+                self._tail.append((last, tuple(ref_value), payload))
+            if len(self._tail) >= self.block_rows:
+                raise ValueError("segment tail holds a whole unsealed block")
+            self._persisted_tail = len(self._tail)
+
+
+def _tail_value(tail: list[tuple[int, tuple, bytes]]) -> list:
+    return [
+        [patch_id, list(ref_value), payload]
+        for patch_id, ref_value, payload in tail
+    ]
 
 
 class MetadataSegmentStore:
     """All collections' segments over one ``metadata.seg`` heap file.
 
-    The catalog hands descriptor refs in via :meth:`attach` (from pager
-    meta) and flushes dirty segments back out through :meth:`flush` —
-    the same snapshot idiom statistics use. Like them, rewrites append
-    (old descriptor/block blobs are never reclaimed); segments are tiny
-    next to pixels, so compaction stays a non-goal for now.
+    Sealed blocks are immutable blobs; what changes is each segment's
+    *descriptor* (block refs + zone maps + the open tail), persisted
+    through a :class:`~repro.storage.snapshot_store.SnapshotStore` over
+    the same heap: a full descriptor is the base, and a flush that only
+    appended tail rows writes just those rows as a delta — a commit
+    costs the rows it added, not the tail it found. Sealing a block (or
+    a chain grown to its base's size) starts a fresh base. The catalog
+    hands the chain refs in via :meth:`attach` (from pager meta) and
+    gets them back from :meth:`flush`. Superseded descriptors and blocks
+    stay in the append-only heap, unreferenced; the store bounds them to
+    a constant factor of the live data, and reclaiming them
+    (compaction) stays a non-goal.
     """
 
     def __init__(
@@ -668,22 +739,23 @@ class MetadataSegmentStore:
             durability=durability,
         )
         self._metrics = metrics
+        #: descriptor chains, keyed ``("segment", collection)``
+        self.snapshots = SnapshotStore(self._heap, metrics=metrics)
         #: ``on_corruption(name, exc)`` — the catalog's quarantine hook,
         #: called when a segment descriptor fails validation and the
         #: store falls back to a fresh empty segment (rebuilt lazily)
-        self._on_corruption = on_corruption
+        self._on_corruption = on_corruption or (lambda name, exc: None)
         self._segments: dict[str, CollectionSegment] = {}
-        self._refs: dict[str, list] = {}
         self._lock = threading.RLock()
 
-    def attach(self, refs: dict[str, list]) -> None:
+    def attach(self, refs: dict) -> None:
         with self._lock:
-            self._refs = {name: list(ref) for name, ref in refs.items()}
+            self.snapshots.attach(refs)
 
     def segment(self, name: str) -> CollectionSegment:
         """The named collection's segment, loading the persisted
-        descriptor on first use (an empty segment otherwise — the lazy
-        backfill trigger for pre-segment catalogs).
+        descriptor chain on first use (an empty segment otherwise — the
+        lazy backfill trigger for pre-segment catalogs).
 
         A corrupt descriptor is quarantined, not fatal: the segment is
         derived state, so the store reports the damage through
@@ -692,15 +764,13 @@ class MetadataSegmentStore:
         with self._lock:
             segment = self._segments.get(name)
             if segment is None:
-                ref = self._refs.get(name)
-                if ref is not None:
-                    try:
-                        segment = self._load_descriptor(name, ref)
-                    except CorruptionError as exc:
-                        self._refs.pop(name, None)
-                        segment = None
-                        if self._on_corruption is not None:
-                            self._on_corruption(name, exc)
+                segment = self.snapshots.load(
+                    (SEGMENT, name),
+                    lambda value: CollectionSegment.from_value(
+                        self._heap, name, value, metrics=self._metrics
+                    ),
+                    on_corrupt=lambda exc: self._on_corruption(name, exc),
+                )
                 if segment is None:
                     segment = CollectionSegment(
                         self._heap, name, metrics=self._metrics
@@ -708,49 +778,21 @@ class MetadataSegmentStore:
                 self._segments[name] = segment
             return segment
 
-    def _load_descriptor(self, name: str, ref: list) -> CollectionSegment:
-        blob_ref = BlobRef.from_tuple(tuple(ref))
-        try:
-            descriptor = serialization.loads(self._heap.get(blob_ref))
-            return CollectionSegment.from_value(
-                self._heap, name, descriptor, metrics=self._metrics
-            )
-        except CorruptionError:
-            raise
-        except (
-            StorageError,
-            zlib.error,
-            struct.error,
-            ValueError,
-            KeyError,
-            TypeError,
-        ) as exc:
-            raise CorruptionError(
-                f"undecodable segment descriptor for {name!r}: {exc}",
-                file=self._heap.path,
-                offset=blob_ref.offset,
-            ) from exc
-
     def drop(self, name: str) -> None:
         """Forget a collection's segment (re-materialization starts clean)."""
         with self._lock:
             self._segments.pop(name, None)
-            self._refs.pop(name, None)
+            self.snapshots.drop((SEGMENT, name))
 
-    def flush(self) -> dict[str, list]:
-        """Persist dirty segments; returns the descriptor-ref mapping the
+    def flush(self) -> dict:
+        """Persist dirty segments; returns the descriptor-chain refs the
         catalog stores in pager meta."""
         with self._lock:
             for name, segment in self._segments.items():
-                if not segment.dirty:
-                    continue
-                payload = serialization.dumps(
-                    segment.to_value(), compress_arrays=False
-                )
-                ref = self._heap.put(payload, compress=True)
-                self._refs[name] = list(ref.to_tuple())
-                segment.dirty = False
-            return dict(self._refs)
+                if segment.dirty:
+                    self.snapshots.save((SEGMENT, name), segment)
+                    segment.dirty = False
+            return self.snapshots.refs()
 
     def scrub(self) -> tuple[int, list]:
         """Checksum-walk the segment heap file (see

@@ -217,6 +217,21 @@ class TestDeepLensSession:
             assert db.videos() == ["v"]
             assert db.video("v").n_frames == 6
 
+    def test_hundred_videos_survive_reopen(self, tmp_path):
+        # the registry used to live in the 4 KiB meta page: close() raised
+        # PageError after ~35 videos
+        frames = self._frames(2)
+        with DeepLens(tmp_path) as db:
+            for i in range(60):
+                db.ingest_video(f"cam{i:03d}", iter(frames), layout="frame-raw")
+        with DeepLens(tmp_path) as db:
+            for i in range(60, 100):
+                db.ingest_video(f"cam{i:03d}", iter(frames), layout="frame-raw")
+        with DeepLens(tmp_path) as db:
+            assert db.videos() == [f"cam{i:03d}" for i in range(100)]
+            assert db.video("cam000").n_frames == 2
+            assert db.video("cam099").n_frames == 2
+
     def test_encoded_layout_refuses_random_access(self, tmp_path):
         with DeepLens(tmp_path) as db:
             store = db.ingest_video("v", iter(self._frames(6)), layout="encoded")

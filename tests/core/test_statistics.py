@@ -23,10 +23,17 @@ from repro.core.statistics import (
     CollectionStatistics,
     fallback_estimate,
 )
+from repro.storage.kvstore import serialization
 
 #: absolute selectivity error allowed for histogram-backed estimates: two
 #: boundary buckets of an equi-depth histogram plus interpolation slack
 HISTOGRAM_TOLERANCE = 2.0 / HISTOGRAM_BUCKETS + 0.02
+
+
+def _frozen(stats):
+    """A snapshot as bytes: ``to_value()`` carries ndarrays, which ``==``
+    cannot compare; the serialized form is the bit-exact comparison."""
+    return serialization.dumps(stats.to_value())
 
 
 def attr_stats(values):
@@ -294,12 +301,12 @@ class TestPersistence:
         with Catalog(tmp_path) as catalog:
             catalog.materialize(_make_patches(), "c")
             before = catalog.statistics_for("c")
-            snapshot = before.to_value()
+            snapshot = _frozen(before)
             estimate_before = before.estimate_predicate(expr)
         with Catalog(tmp_path) as catalog:
             after = catalog.statistics_for("c")
             assert after is not None
-            assert after.to_value() == snapshot
+            assert _frozen(after) == snapshot
             assert after.estimate_predicate(expr) == estimate_before
 
     def test_incremental_add_matches_rebuild(self, tmp_path):
@@ -307,8 +314,8 @@ class TestPersistence:
             collection = catalog.materialize(_make_patches(30), "c")
             for patch in _make_patches(25, start=30):
                 collection.add(patch)
-            incremental = catalog.statistics_for("c").to_value()
-            rebuilt = catalog.rebuild_statistics("c").to_value()
+            incremental = _frozen(catalog.statistics_for("c"))
+            rebuilt = _frozen(catalog.rebuild_statistics("c"))
             assert incremental == rebuilt
 
     def test_incremental_add_survives_reopen(self, tmp_path):
@@ -316,9 +323,9 @@ class TestPersistence:
             collection = catalog.materialize(_make_patches(30), "c")
             for patch in _make_patches(5, start=30):
                 collection.add(patch)
-            snapshot = catalog.statistics_for("c").to_value()
+            snapshot = _frozen(catalog.statistics_for("c"))
         with Catalog(tmp_path) as catalog:
-            assert catalog.statistics_for("c").to_value() == snapshot
+            assert _frozen(catalog.statistics_for("c")) == snapshot
             assert catalog.statistics_for("c").row_count == 35
 
     def test_replace_resets_statistics(self, tmp_path):
@@ -400,10 +407,10 @@ class TestStaleness:
                 collection.add(patch)
             incremental = catalog.statistics_for("c")
             assert incremental.staleness == 5
-            snapshot = incremental.to_value()
+            snapshot = _frozen(incremental)
             assert "staleness" not in repr(snapshot)
             rebuilt = catalog.rebuild_statistics("c")
-            assert rebuilt.to_value() == snapshot
+            assert _frozen(rebuilt) == snapshot
             # and the rebuild re-baselined the counter
             assert catalog.statistics_for("c").staleness == 0
 

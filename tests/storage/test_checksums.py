@@ -199,8 +199,8 @@ def test_corrupt_stats_snapshot_rebuilds_from_scan(tmp_path):
         row_count = good.row_count
         # corrupt the persisted snapshot in place: point its ref at a
         # blob that is not a statistics payload
-        bogus = catalog.heap.put(b"not a stats snapshot")
-        catalog._stats_refs["base"] = list(bogus.to_tuple())
+        bogus = catalog.heap.put(b"not a stats snapshot").to_tuple()
+        catalog.snapshots.attach({("stats", "base"): [*bogus, *bogus]})
         catalog._stats.pop("base", None)
         rebuilt = catalog.statistics_for("base")
         assert rebuilt is not None

@@ -120,6 +120,11 @@ def _fingerprint(workdir):
             assert full == meta_only, f"segment disagrees with heap in {name!r}"
             assert len(full) == len(collection)
             state[name] = tuple(full)
+            # statistics folded from base + deltas cover exactly the
+            # committed rows — never a delta from a rolled-back commit
+            stats = catalog.statistics_for(name)
+            assert stats is None or stats.row_count == len(full)
+            state[f"__stats__{name}"] = stats and stats.row_count
         state["__indexes__"] = tuple(
             sorted(tuple(key) for key in catalog.indexes())
         )
@@ -133,6 +138,19 @@ def _fingerprint(workdir):
             assert len(index) == len(catalog.collection(name))
             state[f"__hnsw__{name}.{attr}"] = tuple(index.ids())
         return state
+
+
+def _wl_delta_commits(workdir, fs, commits=8):
+    """Append 4 rows + sync, ``commits`` times, under an HNSW index: every
+    commit after the first appends a delta to the statistics, segment and
+    graph chains."""
+    catalog = Catalog(workdir, durability=DURABILITY, fs=fs)
+    collection = catalog.collection("base")
+    for commit in range(commits):
+        for patch in _patches(4, start=400 + 4 * commit):
+            collection.add(patch)
+        catalog.sync()
+    catalog.close()
 
 
 def _steps_for(total):
@@ -184,6 +202,47 @@ def test_crash_at_every_step_is_all_or_nothing(tmp_path, workload_name, mode):
             f"{workload_name}/{mode}: crash at op {step}/{total_ops} left a "
             f"mixed state"
         )
+
+
+@pytest.mark.parametrize("mode", ["kill", "torn"])
+def test_crash_during_delta_commits_lands_on_a_commit(tmp_path, mode):
+    """A run of small commits, each appending deltas to three snapshot
+    chains: a crash at any I/O step reopens to exactly one of the
+    committed states (rows, statistics row count and HNSW ids agree),
+    and a later crash never lands on an earlier commit."""
+    commits = 8
+    base = tmp_path / "base"
+    _seed_base(base)
+    with Catalog(base, durability=DURABILITY) as catalog:
+        catalog.create_index("base", "emb", "hnsw", params={"m": 4, "ef": 8})
+
+    # fault-free probes: the state after k commits, for every k
+    checkpoints = []
+    for done in range(commits + 1):
+        probe = tmp_path / f"probe{done}"
+        shutil.copytree(base, probe)
+        counter = FaultInjector(fail_at=None)
+        _wl_delta_commits(probe, counter, commits=done)
+        counter.close_all()
+        checkpoints.append(_fingerprint(probe))
+    total_ops = counter.ops
+    assert len({repr(state) for state in checkpoints}) == commits + 1
+    assert checkpoints[-1]["__stats__base"] == 8 + 4 * commits
+    assert len(checkpoints[-1]["__hnsw__base.emb"]) == 8 + 4 * commits
+
+    reached = 0
+    for step in _steps_for(total_ops):
+        workdir = tmp_path / f"step{step}"
+        shutil.copytree(base, workdir)
+        assert _crash_run(workdir, _wl_delta_commits, step, mode)
+        state = _fingerprint(workdir)
+        assert state in checkpoints, (
+            f"delta_commits/{mode}: crash at op {step}/{total_ops} left a "
+            f"state no commit produced"
+        )
+        assert checkpoints.index(state) >= reached
+        reached = checkpoints.index(state)
+    assert reached >= commits - 1
 
 
 def test_crash_past_the_last_op_changes_nothing(tmp_path):
