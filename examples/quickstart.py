@@ -36,10 +36,16 @@ The minimal end-to-end DeepLens workflow on synthetic CCTV footage:
 9. metadata-only analytics: scans that never read pixels answer from
    the **columnar metadata segment** beside the blob heap — zero heap
    reads, zero pixel decompression, with per-block zone maps skipping
-   provably non-matching blocks. Ask for it explicitly (LensQL
-   ``FROM detections METADATA ONLY``, fluent ``load_data=False``) or
-   let the planner flip the scan itself when nothing above it reads
-   pixel data — both visible in ``explain()``;
+   provably non-matching blocks. Filters run on the segment's columns
+   (only the ones the predicate names are decoded, masked in numpy),
+   rows are built for the survivors only, and an aggregate over a bare
+   attribute folds the masked column without building a row at all.
+   Ask for it explicitly (LensQL ``FROM detections METADATA ONLY``,
+   fluent ``load_data=False``) or let the planner flip the scan itself
+   when nothing above it reads pixel data — ``explain()`` shows the
+   flip, the columns read and the rows materialized; a selective
+   ``SELECT *`` uses the same column pass and then fetches pixel
+   records for the matching ids only (``late-materialization``);
 10. backtrace one detection to its base frame through lineage;
 11. similarity search: ``CREATE INDEX ... USING HNSW`` builds a
    graph-based approximate-nearest-neighbor index over an embedding
@@ -300,14 +306,27 @@ def main() -> None:
             "SELECT * FROM detections METADATA ONLY WHERE score >= 0.5"
         )
         assert sql_lean.plan_fingerprint() == lean.plan_fingerprint()
+        # the choice names the columns the filter decodes per block
+        # ("reading columns [score]") next to the rows it expects to
+        # materialize ("~N rows"): everything else stays packed
         print("\nmetadata-only plan (METADATA ONLY / load_data=False):")
         print(f"  chosen: {lean.explain().chosen}")
-        flip_note = next(
-            rewrite
-            for rewrite in vehicles.aggregate_explain("count").rewrites
-            if "metadata-only" in rewrite
+        # COUNT(*) goes one step further: the "column-fold" note says the
+        # count is summed off the filter's mask — 0 rows materialized —
+        # and EXPLAIN ANALYZE confirms it ("in 0": no row was built)
+        counted = vehicles.aggregate_explain("count", analyze=True)
+        for rewrite in counted.rewrites:
+            if "metadata-only" in rewrite or "column-fold" in rewrite:
+                print(f"  auto-detected for COUNT(*): {rewrite}")
+        print(f"  {counted.profile.lines()[0]}")
+        # with pixels wanted, a selective filter no index serves still
+        # runs on the columns first and fetches pixel records for the
+        # matching ids only, instead of decoding every record to test it
+        picky = db.scan("detections").filter(
+            (Attr("score") >= 0.97) | (Attr("score") < 0.03)
         )
-        print(f"  auto-detected for COUNT(*): {flip_note}")
+        print(f"  selective SELECT *: {picky.explain().chosen}")
+        assert all(p.data.size for p in picky.patches())
 
         sample = vehicles.first()
         source, frame = db.lineage.backtrace(sample)

@@ -52,7 +52,11 @@ from repro.indexes import (
 from repro.storage.journal import CommitJournal
 from repro.storage.kvstore import BlobHeap, BlobRef, BPlusTree, Pager
 from repro.storage.kvstore import serialization
-from repro.storage.metadata_segment import CollectionSegment, MetadataSegmentStore
+from repro.storage.metadata_segment import (
+    CollectionSegment,
+    ColumnBatch,
+    MetadataSegmentStore,
+)
 from repro.storage.snapshot_store import SnapshotStore
 
 INDEX_KINDS = ("hash", "btree", "rtree", "balltree", "hnsw")
@@ -130,7 +134,11 @@ class MaterializedCollection:
         return self._load(patch_id, payload, load_data)
 
     def get_many(
-        self, patch_ids: Iterable[int], *, load_data: bool = True
+        self,
+        patch_ids: Iterable[int],
+        *,
+        load_data: bool = True,
+        attrs: Iterable[str] | None = None,
     ) -> list[Patch]:
         """Batched point access: many patches per coalesced heap trip.
 
@@ -138,14 +146,16 @@ class MaterializedCollection:
         blob reads by file offset and coalesces adjacent runs, so index
         access paths fetching dozens of ids pay a handful of sequential
         reads instead of one seek per patch. ``load_data=False`` answers
-        from the columnar metadata segment — zero heap reads.
+        from the columnar metadata segment — zero heap reads — and with
+        ``attrs`` decodes only those metadata columns (the projection a
+        ``Project`` above would apply anyway).
         """
         ids = list(patch_ids)
         if not ids:
             return []
         if not load_data:
             try:
-                rows = self._segment_rows(ids)
+                rows = self._segment_rows(ids, attrs)
             except KeyError as exc:
                 raise QueryError(
                     f"patch {exc.args[0]} not in collection {self.name!r}"
@@ -205,40 +215,92 @@ class MaterializedCollection:
     # -- metadata segment (columnar, zone-mapped) -----------------------
 
     def metadata_batches(
-        self, size: int = DEFAULT_BATCH_SIZE, expr=None, on_blocks=None
+        self,
+        size: int = DEFAULT_BATCH_SIZE,
+        expr=None,
+        on_blocks=None,
+        *,
+        load_data: bool = False,
     ) -> Iterator[list[Patch]]:
-        """Metadata-only batches straight from the columnar segment.
+        """The patches matching ``expr``, filtered on the segment's
+        columns and materialized last.
 
-        With ``expr``, sealed blocks whose zone maps prove no row can
-        match are skipped unread; surviving batches still carry every
-        row of their blocks (the caller's Select filters exactly).
-        ``on_blocks(skipped, scanned)`` reports the zone-map actuals to
-        the executing operator's profile as the scan finishes.
-        Patches come back bit-identical to
-        ``Patch.from_record(..., with_data=False)``: empty data array,
-        same metadata, same lineage tuples.
+        Per column batch (a sealed block, or the open tail) only the
+        columns ``expr`` names are decoded and masked
+        (:meth:`~repro.core.expressions.Expr.mask`); sealed blocks whose
+        zone maps prove no row can match are skipped unread. Rows are
+        built for the survivors only: ``load_data=False`` turns their
+        segment rows into patches bit-identical to
+        ``Patch.from_record(..., with_data=False)`` (empty data array,
+        same metadata, same lineage tuples); ``load_data=True`` hands
+        their ids to :meth:`get_many`, so pixel records are read and
+        inflated for matching rows alone. ``on_blocks(skipped, scanned)``
+        reports the zone-map actuals to the executing operator's profile
+        as the scan finishes.
 
         The segment is derived state: a corrupt block does not fail the
         scan. It is quarantined, the segment rebuilds from the blob heap,
-        and the scan resumes after the last row already delivered (rows
+        and the scan resumes after the last row already examined (rows
         are id-ordered, so no duplicates and no gaps).
         """
-        last_yielded: int | None = None
+
+        def survivors(batch: ColumnBatch) -> list:
+            positions = _matching(expr, batch)
+            if load_data:
+                ids = batch.ids if positions is None else batch.ids[positions]
+                return ids.tolist()
+            return batch.rows(positions)
+
+        def build(found: list) -> list[Patch]:
+            if load_data:
+                return self.get_many(found)
+            return [self._patch_from_metadata(*row) for row in found]
+
+        pending: list = []
+        for found in self._segment_batches(expr, on_blocks, survivors):
+            pending.extend(found)
+            start = 0
+            while len(pending) - start >= size:
+                yield build(pending[start : start + size])
+                start += size
+            del pending[:start]
+        if pending:
+            yield build(pending)
+
+    def metadata_keys(
+        self, attr: str | None, expr=None, on_blocks=None
+    ) -> Iterator[tuple[np.ndarray, list | None]]:
+        """Per column batch, ``(ids, values of attr)`` of the rows
+        matching ``expr`` — what an aggregate keyed by a bare attribute
+        folds. No row is materialized; ``attr=None`` (a count) decodes
+        nothing beyond the filter's columns. Block skipping and
+        corruption recovery as in :meth:`metadata_batches`."""
+
+        def keys(batch: ColumnBatch) -> tuple[np.ndarray, list | None]:
+            positions = _matching(expr, batch)
+            ids = batch.ids if positions is None else batch.ids[positions]
+            return ids, None if attr is None else batch.values(attr, positions)
+
+        return self._segment_batches(expr, on_blocks, keys)
+
+    def _segment_batches(
+        self, expr, on_blocks, select: Callable[[ColumnBatch], Any]
+    ) -> Iterator[Any]:
+        """``select(batch)`` for every column batch of a zone-mapped
+        segment scan. ``select`` runs inside the corruption guard (it is
+        what decodes columns), and a rebuilt segment is re-entered after
+        the last batch ``select`` finished."""
+        last_id: int | None = None
         rebuilds = 0
         while True:
             segment = self._metadata_segment()
-            batch: list[Patch] = []
             try:
-                for row in segment.scan_rows(
-                    expr, on_blocks, after_id=last_yielded
+                for batch in segment.scan_columns(
+                    expr, on_blocks, after_id=last_id
                 ):
-                    batch.append(self._patch_from_metadata(*row))
-                    if len(batch) >= size:
-                        yield batch
-                        last_yielded = batch[-1].patch_id
-                        batch = []
-                if batch:
-                    yield batch
+                    selected = select(batch)
+                    last_id = int(batch.ids[-1])
+                    yield selected
                 return
             except CorruptionError as exc:
                 rebuilds += 1
@@ -247,7 +309,7 @@ class MaterializedCollection:
                 self.catalog._quarantine_segment(self.name, exc)
 
     def metadata_block_stats(self, expr=None) -> tuple[int, int, int]:
-        """(kept blocks, total sealed blocks, surviving-row bound) a
+        """(kept blocks, total sealed blocks, open tail rows) a
         zone-mapped metadata scan of ``expr`` would read — the planner's
         block-skipping estimate."""
         return self._metadata_segment().block_stats(expr)
@@ -259,15 +321,15 @@ class MaterializedCollection:
         column, or no non-None value); callers fall back to a scan."""
         return self._metadata_segment().attr_min_max(attr)
 
-    def _segment_rows(self, ids: list[int]) -> list:
+    def _segment_rows(self, ids: list[int], attrs=None) -> list:
         """Point rows from the segment, with one quarantine + rebuild
         retry on corruption (a second failure means the blob heap itself
         is damaged and propagates)."""
         try:
-            return self._metadata_segment().get_rows(ids)
+            return self._metadata_segment().get_rows(ids, attrs)
         except CorruptionError as exc:
             self.catalog._quarantine_segment(self.name, exc)
-            return self._metadata_segment().get_rows(ids)
+            return self._metadata_segment().get_rows(ids, attrs)
 
     def _metadata_segment(self) -> CollectionSegment:
         """This collection's segment, rebuilt from the blob heap (the
@@ -1058,6 +1120,12 @@ class Catalog:
             if patch.patch_id not in index:
                 index.add(vector, patch.patch_id)
                 self.persist(("hnsw", name, attr), index)
+
+
+def _matching(expr, batch: ColumnBatch) -> np.ndarray | None:
+    """Positions of the batch rows satisfying ``expr`` (None: no filter,
+    every row)."""
+    return None if expr is None else np.flatnonzero(expr.mask(batch))
 
 
 def _patch_vector(patch: Patch, attr: str, feature_fn) -> np.ndarray | None:

@@ -18,6 +18,7 @@ batches.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Iterator
 
@@ -28,6 +29,8 @@ from repro.core.operators.base import (
     chunked,
     rows_of,
 )
+from repro.core.operators.profiled import ProfiledOperator
+from repro.core.operators.scans import MetadataScan
 from repro.core.patch import Patch, Row
 from repro.errors import QueryError
 
@@ -99,6 +102,11 @@ class AggregateExecution:
     aggregate can be answered from storage statistics alone (MIN/MAX
     over a zone-mapped attribute): it returns ``(handled, value)``, and
     when handled the child operator never runs — zero blocks decoded.
+
+    ``columns`` is the :class:`MetadataScan` at the base of ``operator``
+    when the aggregate reads nothing but one metadata attribute (or
+    nothing at all, for a count): the reduction then folds that scan's
+    masked key column and no row is ever materialized.
     """
 
     operator: Operator
@@ -106,6 +114,7 @@ class AggregateExecution:
     key: Callable[[Patch], Any] | None
     reducer: Callable[[list], Any]
     fast: Callable[[], tuple[bool, Any]] | None = None
+    columns: MetadataScan | None = None
 
     def execute(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Any:
         """Run the reduction over the operator's batches of at most
@@ -114,19 +123,54 @@ class AggregateExecution:
             handled, value = self.fast()
             if handled:
                 return value
-        rows = rows_of(self.operator, batch_size)
-        # DistinctCount/GroupBy only iterate their child, so a flattened
-        # row stream reuses their semantics
+        if self.kind == "group" and self.reducer is not len:
+            # the reducer folds whole rows; GroupBy only iterates its
+            # child, so a flattened row stream reuses its semantics
+            rows = rows_of(self.operator, batch_size)
+            return GroupBy(rows, self.key, self.reducer).execute()
+        return _fold(self.kind, self._key_batches(batch_size))
+
+    def _key_batches(self, batch_size: int) -> Iterator[tuple]:
+        """``(patch ids, key values)`` per batch — off the scan's
+        columns when the lowering proved that is all the key reads,
+        else by calling ``key`` on each row's patch. A count needs no
+        values."""
+        if self.columns is not None:
+            attr = None if self.kind == "count" else self.key.attr
+            batches = self.columns.key_batches(attr)
+            if isinstance(self.operator, ProfiledOperator):
+                batches = self.operator.timed(batches, lambda batch: len(batch[0]))
+            return batches
         if self.kind == "count":
-            return sum(1 for _ in rows)
-        if self.kind == "distinct_count":
-            return DistinctCount(rows, self.key).execute()
-        if self.kind == "avg":
-            # SQL semantics: NULL (None) values are skipped, and AVG of
-            # an empty/all-NULL input is NULL, not a division error
-            total, n = 0.0, 0
-            for row in rows:
-                value = self.key(row[0])
+            return ((batch, None) for batch in self.operator.iter_batches(batch_size))
+        key = self.key
+        return (
+            ([row[0].patch_id for row in batch], [key(row[0]) for row in batch])
+            for batch in self.operator.iter_batches(batch_size)
+        )
+
+
+def _fold(kind: str, batches: Iterable[tuple]) -> Any:
+    """Reduce ``(patch ids, key values)`` batches — the one fold both
+    the row path and the column path run."""
+    if kind == "count":
+        return sum(len(ids) for ids, _ in batches)
+    if kind == "distinct_count":
+        seen: set[Hashable] = set()
+        for _, values in batches:
+            seen.update(values)
+        return len(seen)
+    if kind == "group":
+        counts: Counter = Counter()  # first-seen key order, like GroupBy
+        for _, values in batches:
+            counts.update(values)
+        return dict(counts)
+    if kind == "avg":
+        # SQL semantics: NULL (None) values are skipped, and AVG of
+        # an empty/all-NULL input is NULL, not a division error
+        total, n = 0.0, 0
+        for ids, values in batches:
+            for position, value in enumerate(values):
                 if value is None:
                     continue
                 try:
@@ -134,28 +178,26 @@ class AggregateExecution:
                 except (TypeError, ValueError):
                     raise QueryError(
                         f"avg key produced non-numeric value {value!r} "
-                        f"for patch {row[0].patch_id}"
+                        f"for patch {ids[position]}"
                     ) from None
                 n += 1
-            return total / n if n else None
-        if self.kind in ("min", "max"):
-            # SQL semantics: NULLs are skipped; MIN/MAX of an empty or
-            # all-NULL input is NULL
-            pick = min if self.kind == "min" else max
-            best = None
-            for row in rows:
-                value = self.key(row[0])
-                if value is None:
-                    continue
-                try:
-                    best = value if best is None else pick(best, value)
-                except TypeError:
-                    raise QueryError(
-                        f"{self.kind} key produced incomparable value "
-                        f"{value!r} for patch {row[0].patch_id}"
-                    ) from None
-            return best
-        return GroupBy(rows, self.key, self.reducer).execute()
+        return total / n if n else None
+    # min / max. SQL semantics: NULLs are skipped; MIN/MAX of an empty
+    # or all-NULL input is NULL
+    pick = min if kind == "min" else max
+    best = None
+    for ids, values in batches:
+        for position, value in enumerate(values):
+            if value is None:
+                continue
+            try:
+                best = value if best is None else pick(best, value)
+            except TypeError:
+                raise QueryError(
+                    f"{kind} key produced incomparable value "
+                    f"{value!r} for patch {ids[position]}"
+                ) from None
+    return best
 
 
 class UnionFind:

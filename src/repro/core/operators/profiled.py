@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 from repro.core.operators.base import DEFAULT_BATCH_SIZE, Batch, Operator
 from repro.core.profile import OperatorProfile
@@ -47,18 +47,24 @@ class ProfiledOperator(Operator):
         return self.child.pipeline_breaker
 
     def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
+        return self.timed(self.child.iter_batches(size), len)
+
+    def timed(self, source: Iterator, rows: Callable[[Any], int]) -> Iterator:
+        """Pass ``source`` through, counting each item as one batch of
+        ``rows(item)`` output rows and timing each pull. Also how an
+        aggregate that folds the child's columns (not its row batches)
+        still reports to this operator's entry."""
         entry = self.entry
-        source = self.child.iter_batches(size)
         while True:
             started = time.perf_counter()
             try:
-                batch = next(source)
+                item = next(source)
             except StopIteration:
                 entry.add_time(time.perf_counter() - started)
                 entry.mark_exhausted()
                 return
-            entry.add_batch(len(batch), time.perf_counter() - started)
-            yield batch
+            entry.add_batch(rows(item), time.perf_counter() - started)
+            yield item
 
 
 class InputProbe(Operator):

@@ -1,11 +1,16 @@
 """Scan-side operators: collection scans, index scans, selection, mapping.
 
-Scans are the leaves of every plan. Three access paths exist for a
+Scans are the leaves of every plan. Four access paths exist for a
 materialized collection, mirroring Section 3.2's index menu:
 
 * :class:`CollectionScan` — full scan in patch-id order;
+* :class:`MetadataScan` — filter on the metadata segment's columns,
+  rows (or pixel records) for the survivors only;
 * :class:`IndexLookupScan` — hash/B+ point lookup (``attr == value``);
 * :class:`IndexRangeScan` — B+/sorted-file range (``lo <= attr <= hi``).
+
+:class:`Select` filters rows that are already patches: join outputs,
+maps, iterators, opaque predicates and index residuals.
 """
 
 from __future__ import annotations
@@ -81,22 +86,29 @@ class CollectionScan(Operator):
 
 
 class MetadataScan(Operator):
-    """Metadata-only scan with zone-map block skipping.
+    """Filter on the metadata segment's columns; materialize last.
 
-    Reads the collection's columnar metadata segment — never the patch
-    heap — and, given ``expr``, skips sealed blocks whose per-attribute
-    min/max zone maps prove no row can match. Surviving blocks are
-    *not* row-filtered here: the Select the planner stacks on top
-    applies ``expr`` exactly, so a conservative zone map can only cost
-    time, never rows.
+    What every structural ``Filter* -> Scan`` group lowers to. Per
+    sealed block that the zone maps cannot rule out, only the columns
+    ``expr`` names are decoded and masked in numpy
+    (:meth:`~repro.core.expressions.Expr.mask`); rows exist only for
+    the survivors. ``load_data=False`` builds data-less patches from the
+    segment and never touches the patch heap; ``load_data=True`` fetches
+    the surviving ids' records, so pixels are inflated for matching rows
+    alone. :meth:`key_batches` goes further for an aggregate over a bare
+    attribute: it hands out the masked key column and builds no row.
     """
 
     def __init__(
-        self, collection: MaterializedCollection, expr: Expr | None = None
+        self,
+        collection: MaterializedCollection,
+        expr: Expr | None = None,
+        *,
+        load_data: bool = False,
     ) -> None:
         self.collection = collection
         self.expr = expr
-        self.load_data = False
+        self.load_data = load_data
         #: optional ``(skipped, scanned)`` callback the lowerer wires to
         #: the operator's profile entry, grading the zone-map skip
         #: estimate against what the scan actually skipped
@@ -104,9 +116,14 @@ class MetadataScan(Operator):
 
     def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
         for patches in self.collection.metadata_batches(
-            size, expr=self.expr, on_blocks=self.on_blocks
+            size, self.expr, self.on_blocks, load_data=self.load_data
         ):
             yield [(patch,) for patch in patches]
+
+    def key_batches(self, attr: str | None) -> Iterator[tuple]:
+        """``(ids, values of attr)`` of the matching rows, one pair per
+        column batch (``values`` is None for ``attr=None``)."""
+        return self.collection.metadata_keys(attr, self.expr, self.on_blocks)
 
 
 class _IndexScan(Operator):
@@ -116,6 +133,9 @@ class _IndexScan(Operator):
 
     collection: MaterializedCollection
     load_data: bool
+    #: metadata columns a data-less fetch decodes (None: all) — set by
+    #: the lowerer when a Project directly above drops the rest anyway
+    attrs: frozenset[str] | None = None
 
     def _ids(self) -> Iterator[int]:
         raise NotImplementedError
@@ -125,7 +145,9 @@ class _IndexScan(Operator):
             yield self._fetch(ids)
 
     def _fetch(self, ids: list[int]) -> Batch:
-        patches = self.collection.get_many(ids, load_data=self.load_data)
+        patches = self.collection.get_many(
+            ids, load_data=self.load_data, attrs=self.attrs
+        )
         return [(patch,) for patch in patches]
 
 

@@ -52,10 +52,17 @@ class CostModel:
     index_lookup: float = 1.2e-4
     #: per-result fetch from the heap
     fetch_per_patch: float = 1.2e-4
-    #: producing one data-less patch from the columnar metadata segment
-    #: (bulk column decode, no pixel decompression — far under
-    #: ``scan_per_patch``, which pays the full record)
-    metadata_scan_per_patch: float = 4e-6
+    #: reading one column of one sealed metadata-segment block (block
+    #: read + checksum amortized over its columns, inflate, parse, one
+    #: vectorized predicate pass) — dearer than an index probe, which is
+    #: why a point lookup still goes to its index
+    segment_column_decode: float = 1.5e-4
+    #: reading one row of a segment's open tail, which is still
+    #: row-format (one serialized dict per row) until it seals
+    segment_tail_row: float = 1.3e-5
+    #: building one data-less patch for a row that survived the column
+    #: filter (its other columns' values, the metadata dict, the Patch)
+    segment_row_materialize: float = 8e-6
 
     calibrated: bool = field(default=False, repr=False)
 
@@ -64,9 +71,33 @@ class CostModel:
     def full_scan(self, n: int) -> float:
         return n * (self.scan_per_patch + self.filter_per_patch)
 
-    def metadata_scan(self, n: float) -> float:
-        """Metadata-only scan over ``n`` rows of the columnar segment."""
-        return n * (self.metadata_scan_per_patch + self.filter_per_patch)
+    def columns_pass(self, blocks: int, columns: int, tail_rows: int) -> float:
+        """Decoding and masking ``columns`` columns of ``blocks`` sealed
+        segment blocks, plus reading the open tail — no row is built."""
+        return (
+            blocks * columns * self.segment_column_decode
+            + tail_rows * self.segment_tail_row
+        )
+
+    def metadata_scan(
+        self, blocks: int, columns: int, tail_rows: int, survivors: float
+    ) -> float:
+        """Metadata-only scan: a columns pass, then data-less patches
+        for the ``survivors`` rows that passed it."""
+        return (
+            self.columns_pass(blocks, columns, tail_rows)
+            + survivors * self.segment_row_materialize
+        )
+
+    def late_materialization(
+        self, blocks: int, columns: int, tail_rows: int, survivors: float
+    ) -> float:
+        """A columns pass, then a heap fetch (read, inflate, parse the
+        pixel record) for each surviving row only."""
+        return (
+            self.columns_pass(blocks, columns, tail_rows)
+            + survivors * self.fetch_per_patch
+        )
 
     def udf_map(self, n: float) -> float:
         """Applying a UDF map over ``n`` rows (model inference)."""

@@ -356,8 +356,33 @@ class _Lowering:
                 node.key,
                 node.reducer,
                 self._minmax_fast(node),
+                self._key_columns(node, child),
             )
         return self._lower_rows(node)
+
+    def _key_columns(
+        self, node: logical.Aggregate, child: Operator
+    ) -> MetadataScan | None:
+        """The scan whose columns a metadata-only aggregate folds: the
+        aggregate must sit directly on a scan group that lowered to a
+        :class:`MetadataScan` (an index path has no columns to offer; a
+        Limit or Select in between changes which rows count)."""
+        if _aggregate_reads_data(node):
+            return None
+        scan = _unprofiled(child)
+        if not isinstance(scan, MetadataScan) or scan.load_data:
+            return None
+        read = logical.expr_attrs(scan.expr) if scan.expr is not None else set()
+        if node.kind == "count":
+            what = "count sums the filter mask"
+        else:
+            read = read | {node.key.attr}
+            what = f"{node.kind}({node.key.attr}) folds the masked key column"
+        self.notes.append(
+            f"column-fold: {what} of Scan({scan.collection.name}), reading "
+            f"columns [{', '.join(sorted(read))}] and materializing 0 rows"
+        )
+        return scan
 
     def _minmax_fast(
         self, node: logical.Aggregate
@@ -406,6 +431,14 @@ class _Lowering:
             return self._lower_map(node)
         if isinstance(node, logical.Project):
             child = self._lower_rows(node.child)
+            fetch = _unprofiled(child)
+            if (
+                isinstance(fetch, (IndexLookupScan, IndexRangeScan, AnnTopKScan))
+                and not fetch.load_data
+            ):
+                # a data-less point fetch directly below: decode only the
+                # columns this projection keeps
+                fetch.attrs = frozenset(node.attrs) | frozenset(Project.ALWAYS_KEPT)
             return self._profiled(
                 Project(child, node.attrs, keep_data=node.keep_data),
                 node,
@@ -436,7 +469,9 @@ class _Lowering:
 
     def _lower_scan_group(self, node: logical.LogicalPlan) -> Operator:
         """A maximal Filter* -> Scan chain becomes one access-path
-        decision; filters over anything else lower to plain Selects."""
+        decision (its structural predicates run on segment columns
+        inside the chosen scan); filters over anything else lower to
+        plain Selects."""
         filters: list[logical.Filter] = []
         current = node
         while isinstance(current, logical.Filter):
@@ -487,7 +522,7 @@ class _Lowering:
                             else 0
                         ),
                     )
-                if explanation.chosen.kind == "zone-map-scan":
+                if "blocks_total" in explanation.chosen.params:
                     # grade the zone-map skip estimate like a cardinality:
                     # the scan reports (skipped, scanned) actuals into the
                     # entry as it finishes
@@ -862,6 +897,13 @@ def _scan_rooted(operator: Operator) -> bool:
             MetadataScan,
         ),
     )
+
+
+def _unprofiled(operator: Operator) -> Operator:
+    """The lowered operator under its profiling wrappers."""
+    while isinstance(operator, (ProfiledOperator, InputProbe)):
+        operator = operator.child
+    return operator
 
 
 def _find_metadata_scan(operator: Operator) -> MetadataScan | None:

@@ -29,7 +29,7 @@ from repro.core.catalog import Catalog
 from repro.core.executor import ExecutionPlan
 from repro.core.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.core.expressions import And, Comparison, Expr, extract_bounds
-from repro.core.logical import expr_signature_key
+from repro.core.logical import expr_attrs, expr_signature_key
 from repro.core.operators import (
     CollectionScan,
     IndexLookupScan,
@@ -93,7 +93,13 @@ class PlanChoice:
                 f", skipping {self.params['blocks_skipped']}/"
                 f"{self.params['blocks_total']} blocks"
             )
-        return f"PlanChoice({self.kind}, {self.cost_seconds:.4g}s{est}{zones}{acc})"
+        reads = ""
+        if "columns" in self.params:
+            reads = f", reading columns [{', '.join(self.params['columns'])}]"
+        return (
+            f"PlanChoice({self.kind}, {self.cost_seconds:.4g}s"
+            f"{est}{zones}{reads}{acc})"
+        )
 
 
 @dataclass(frozen=True)
@@ -297,11 +303,26 @@ class Optimizer:
     ) -> tuple[Operator, Explanation]:
         """Best access path for ``SELECT * FROM collection WHERE expr``.
 
-        ``load_data=False`` plans against the columnar metadata segment:
-        the base candidate is a ``metadata-scan`` (no heap reads, no
-        pixel decompression), and when the predicate's zone maps prove
-        some blocks cannot match, a cheaper ``zone-map-scan`` candidate
-        skips them outright.
+        The structural conjuncts of ``expr`` (comparisons, BETWEEN and
+        their AND/OR/NOT combinations — everything but an opaque
+        ``Predicate``) are evaluated on the metadata segment's columns
+        by one operator, :class:`~repro.core.operators.MetadataScan`:
+        it decodes only the columns they name, block by block, skips the
+        blocks their zone maps rule out, and materializes the surviving
+        rows only. What is costed is therefore a columns pass plus a
+        per-survivor term:
+
+        * ``load_data=False`` — ``metadata-scan`` builds data-less
+          patches for the survivors (no heap reads at all); it is
+          labelled ``zone-map-scan``, and costed on the blocks it will
+          read, when the zone maps prove some blocks cannot match;
+        * ``load_data=True`` — ``full-scan`` decodes every pixel record
+          and filters the patches; ``late-materialization`` fetches the
+          survivors' records by id, and is offered whenever the
+          estimate makes it the cheaper of the two.
+
+        Index lookups compete with both. An opaque conjunct stays in a
+        ``Select`` above whichever scan wins.
         """
         collection = self.catalog.collection(collection_name)
         n = max(len(collection), 1)
@@ -310,49 +331,57 @@ class Optimizer:
 
         estimate = self.predicate_estimate(collection_name, expr)
         est_rows = estimate.rows(len(collection))
-        scan = CollectionScan(collection, load_data=load_data)
-        full = Select(scan, expr) if expr else scan
-        candidates.append(
-            (
-                PlanChoice(
-                    "full-scan" if load_data else "metadata-scan",
-                    self.cost.full_scan(n)
-                    if load_data
-                    else self.cost.metadata_scan(n),
-                    {"est_rows": est_rows, "stat_source": estimate.source},
-                ),
-                full,
-            )
-        )
+        estimated = {"est_rows": est_rows, "stat_source": estimate.source}
         estimates = [
             f"{collection_name!r}: {described} ~ {est_rows:.0f} of "
             f"{len(collection)} rows ({estimate.source})"
         ]
-
-        if not load_data and expr is not None:
-            block_stats = getattr(collection, "metadata_block_stats", None)
-            if block_stats is not None:
-                kept, total, surviving = block_stats(expr)
-                if total and kept < total:
-                    candidates.append(
-                        (
-                            PlanChoice(
-                                "zone-map-scan",
-                                self.cost.metadata_scan(surviving),
-                                {
-                                    "est_rows": est_rows,
-                                    "stat_source": estimate.source,
-                                    "blocks_skipped": total - kept,
-                                    "blocks_total": total,
-                                },
-                            ),
-                            Select(MetadataScan(collection, expr), expr),
-                        )
+        if load_data:
+            scan: Operator = CollectionScan(collection)
+            full_cost = self.cost.full_scan(n)
+            candidates.append(
+                (
+                    PlanChoice("full-scan", full_cost, dict(estimated)),
+                    Select(scan, expr) if expr else scan,
+                )
+            )
+        structural, columns, opaque = _split_opaque(expr)
+        if structural is not None or not load_data:
+            kept, total, tail = collection.metadata_block_stats(structural)
+            # rows the scan materializes: an opaque conjunct filters
+            # above it, after the fact
+            survivors = (
+                est_rows
+                if opaque is None
+                else self.predicate_estimate(collection_name, structural).rows(
+                    len(collection)
+                )
+            )
+            params = {**estimated, "columns": columns}
+            if kept < total:
+                params.update(blocks_skipped=total - kept, blocks_total=total)
+                estimates.append(
+                    f"{collection_name!r}: zone maps skip {total - kept} "
+                    f"of {total} blocks for {described}"
+                )
+            if load_data:
+                kind = "late-materialization"
+                cost = self.cost.late_materialization(
+                    kept, len(columns), tail, survivors
+                )
+            else:
+                kind = "zone-map-scan" if kept < total else "metadata-scan"
+                cost = self.cost.metadata_scan(
+                    kept, len(columns), tail, survivors
+                )
+            if not load_data or cost < full_cost:
+                scan = MetadataScan(collection, structural, load_data=load_data)
+                candidates.append(
+                    (
+                        PlanChoice(kind, cost, params),
+                        scan if opaque is None else Select(scan, opaque),
                     )
-                    estimates.append(
-                        f"{collection_name!r}: zone maps skip {total - kept} "
-                        f"of {total} blocks for {described}"
-                    )
+                )
 
         if expr is not None:
             candidates.extend(
@@ -375,7 +404,7 @@ class Optimizer:
         out: list[tuple[PlanChoice, Operator]] = []
         for position, conjunct in enumerate(conjuncts):
             rest = [c for i, c in enumerate(conjuncts) if i != position]
-            residual = None if not rest else (rest[0] if len(rest) == 1 else And(*rest))
+            residual = _conjunction(rest)
             if isinstance(conjunct, Comparison) and conjunct.op == "==":
                 for kind in ("hash", "btree"):
                     if not self.catalog.has_index(collection_name, conjunct.attr, kind):
@@ -506,7 +535,7 @@ class Optimizer:
         candidates = [
             PlanChoice(
                 "exact-topk-scan",
-                self.cost.metadata_scan(n)
+                n * self.cost.segment_row_materialize
                 + n * self.cost.pair_distance(dim)
                 + fetch,
                 {"rows_compared": n},
@@ -612,6 +641,31 @@ class Optimizer:
         # latency order: push-down first; the Explanation keeps both so a
         # caller with an accuracy SLO can pick the slower, better plan
         return Explanation(chosen=push, candidates=[push, late])
+
+
+def _split_opaque(
+    expr: Expr | None,
+) -> tuple[Expr | None, list[str], Expr | None]:
+    """``expr``'s top-level conjuncts as (those readable off metadata
+    columns, the columns they name, those that need whole patches),
+    each group re-joined with AND."""
+    structural: list[Expr] = []
+    opaque: list[Expr] = []
+    columns: set[str] = set()
+    for conjunct in expr.conjuncts() if expr is not None else ():
+        attrs = expr_attrs(conjunct)
+        if attrs is None:
+            opaque.append(conjunct)
+        else:
+            structural.append(conjunct)
+            columns |= attrs
+    return _conjunction(structural), sorted(columns), _conjunction(opaque)
+
+
+def _conjunction(conjuncts: list[Expr]) -> Expr | None:
+    if len(conjuncts) > 1:
+        return And(*conjuncts)
+    return conjuncts[0] if conjuncts else None
 
 
 def _attr_of(expr: Expr) -> str:

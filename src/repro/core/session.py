@@ -153,7 +153,12 @@ class DeepLens:
     segment beside the blob heap — zone-mapped attribute blocks, zero
     heap trips, no pixel decompression — and the planner flips eligible
     scans (e.g. under ``COUNT(*)``) to this path automatically; the
-    rewrite shows up in ``explain()``.
+    rewrite shows up in ``explain()``. Structural filters run on those
+    columns, not on rows: per block only the columns the predicate
+    names are decoded and masked in numpy, rows are built for the
+    survivors, and with pixels wanted a selective filter fetches the
+    matching records by id (``late-materialization``) instead of
+    decoding every record to test it.
 
     **The LensQL dialect** (:meth:`sql` / :meth:`sql_query`):
 
@@ -1090,6 +1095,10 @@ class QueryBuilder:
         Over a bare metadata-attribute key, ``min``/``max`` are answered
         from the segment's zone-map block statistics when provable —
         zero blocks decoded (the short-circuit shows in ``explain()``).
+        Directly over a filtered scan, ``count`` and every kind keyed by
+        :func:`~repro.core.udf.attribute_key` (``group`` with the
+        ``len`` reducer) fold the filter's mask and the key's column —
+        no row is materialized (``column-fold`` in ``explain()``).
         """
         return self._run(
             logical.Aggregate(self._plan, kind, key=key, reducer=reducer)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import threading
 import zlib
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
@@ -272,16 +273,12 @@ def _pack_column(values: list, present: list[bool]) -> bytes:
     return b"r" + raw
 
 
-def _unpack_column(
-    blob: bytes, positions: list[int] | None = None
-) -> tuple[list | None, list]:
-    """(presence mask, values) of one column, both aligned with
-    ``positions`` when given (else with the block's rows)."""
+def _load_column(blob: bytes) -> tuple[list | None, list]:
+    """(presence mask, typed run) of one stored column — the run stays
+    packed, so a vectorized reader never builds a Python object per row."""
     raw = zlib.decompress(blob[1:]) if blob[:1] == b"z" else blob[1:]
     mask, packed = serialization.loads(raw)
-    if mask is not None and positions is not None:
-        mask = [mask[i] for i in positions]
-    return mask, _unpack_values(packed, positions)
+    return mask, packed
 
 
 @dataclass
@@ -319,6 +316,139 @@ class _Block:
 Row = tuple[int, tuple, dict]
 
 
+class ColumnBatch:
+    """The rows of one sealed block — or of the open tail — column-wise.
+
+    ``ids`` holds the patch ids. A column is decoded the first time it
+    is asked for (a filter on ``frameno`` never inflates ``label``) and
+    stays in its stored typed run: :meth:`numeric` and :meth:`strings`
+    hand a vectorized predicate one array for the whole batch,
+    :meth:`values` is the general one-Python-value-per-row form, and
+    :meth:`rows` builds full rows for just the positions asked for.
+    Tail rows (and a block cut by ``after_id``) are not columnar; such a
+    batch answers the same calls from its row dicts.
+    """
+
+    def __init__(
+        self,
+        segment: "CollectionSegment",
+        ids: np.ndarray,
+        *,
+        block: "_Block | None" = None,
+        stored: dict | None = None,
+        rows: list[Row] | None = None,
+    ) -> None:
+        self._segment = segment
+        self.ids = ids
+        self._block = block
+        self._stored = stored
+        self._rows = rows
+        #: attr -> (presence mask or None, typed run), decoded on demand
+        self._columns: dict[str, tuple[list | None, list]] = {}
+        self._strings: dict[str, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def _column(self, attr: str) -> tuple[list | None, list]:
+        column = self._columns.get(attr)
+        if column is not None:
+            return column
+        if self._rows is not None:
+            metas = [metadata for _, _, metadata in self._rows]
+            present = [attr in metadata for metadata in metas]
+            column = (
+                None if all(present) else present,
+                _pack_values([metadata.get(attr) for metadata in metas]),
+            )
+        else:
+            blob = self._stored["cols"].get(attr)
+            if blob is None:  # no row of this block carries the attribute
+                column = ([0] * len(self), ["n", len(self)])
+            else:
+                with self._segment._decoding(self._block):
+                    column = _load_column(blob)
+                self._segment._metric_columns.inc()
+        self._columns[attr] = column
+        return column
+
+    def numeric(self, attr: str) -> np.ndarray | None:
+        """The column as one int64/float64 array — only when it is
+        stored as a numeric run, which means every row carries a
+        non-None ``int`` (or ``float``) under ``attr``."""
+        run = self._column(attr)[1]
+        return run[1] if run[0] in ("i", "f") else None
+
+    def strings(self, attr: str) -> np.ndarray | None:
+        """The column as one object array of ``str`` — only when every
+        row carries a string under ``attr``."""
+        run = self._column(attr)[1]
+        if run[0] != "s":
+            return None
+        array = self._strings.get(attr)
+        if array is None:
+            array = self._strings[attr] = np.array(
+                _unpack_values(run), dtype=object
+            )
+        return array
+
+    def values(self, attr: str, positions=None) -> list:
+        """One Python value per row (``None`` where the attribute is
+        missing), or per entry of ``positions``. Read-only."""
+        return _unpack_values(self._column(attr)[1], positions)
+
+    def rows(self, positions=None, attrs=None) -> list[Row]:
+        """Full rows — all, or those at ``positions`` — with metadata
+        restricted to ``attrs`` when given (key order unchanged)."""
+        if positions is not None and len(positions) == 0:
+            return []
+        if self._rows is not None:
+            rows = (
+                self._rows
+                if positions is None
+                else [self._rows[i] for i in positions]
+            )
+            if attrs is not None:
+                rows = [
+                    (patch_id, ref_value,
+                     {k: v for k, v in metadata.items() if k in attrs})
+                    for patch_id, ref_value, metadata in rows
+                ]
+        else:
+            with self._segment._decoding(self._block):
+                rows = self._stored_rows(positions, attrs)
+        self._segment._metric_rows.inc(len(rows))
+        return rows
+
+    def _stored_rows(self, positions, attrs) -> list[Row]:
+        ids = (self.ids if positions is None else self.ids[positions]).tolist()
+        shape, width, packed = self._stored["refs"]
+        if shape == "cols":
+            runs = [_unpack_values(run, positions) for run in packed]
+            refs = list(zip(*runs)) if width else [()] * len(ids)
+        else:
+            refs = [
+                tuple(packed[i])
+                for i in (range(len(packed)) if positions is None else positions)
+            ]
+        unpacked = []
+        for attr in self._stored["attrs"]:
+            if attrs is not None and attr not in attrs:
+                continue
+            mask, run = self._column(attr)
+            if mask is not None and positions is not None:
+                mask = [mask[i] for i in positions]
+            unpacked.append((attr, mask, _unpack_values(run, positions)))
+        rows: list[Row] = []
+        for i, (patch_id, ref_value) in enumerate(zip(ids, refs)):
+            metadata = {}
+            for attr, mask, values in unpacked:
+                if mask is None or mask[i]:
+                    metadata[attr] = values[i]
+            rows.append((patch_id, ref_value, metadata))
+        return rows
+
+
 class CollectionSegment:
     """One collection's columnar metadata: sealed blocks plus an open
     tail of rows not yet worth a block.
@@ -352,6 +482,14 @@ class CollectionSegment:
         self._metric_blocks_skipped = metrics.counter(
             "deeplens_zonemap_blocks_skipped_total",
             "sealed metadata blocks zone-map pruning never read",
+        )
+        self._metric_columns = metrics.counter(
+            "deeplens_segment_columns_decoded_total",
+            "sealed-block columns inflated and parsed",
+        )
+        self._metric_rows = metrics.counter(
+            "deeplens_segment_rows_materialized_total",
+            "rows built as Python objects from the metadata segment",
         )
         self._blocks: list[_Block] = []
         #: (patch_id, ref value tuple, serialized metadata)
@@ -437,60 +575,48 @@ class CollectionSegment:
 
     # -- reads ----------------------------------------------------------
 
-    def _decode_block(self, block: _Block, wanted: set[int] | None = None) -> list[Row]:
-        """Rows of one sealed block; with ``wanted``, only the rows whose
-        patch id is in it (columns are unpacked once either way, but no
-        metadata dict is built for a row nobody asked for)."""
+    @contextmanager
+    def _decoding(self, block: _Block) -> Iterator[None]:
+        """Position whatever decoding ``block`` raises: the checksum
+        passed but the content does not decode (e.g. a pre-checksum v1
+        heap took a bit flip) — same corruption, one typed positioned
+        error instead of a codec traceback."""
         try:
-            value = serialization.loads(self._heap.get(block.ref))
-            return self._rows_of(value, wanted)
+            yield
         except CorruptionError:
             raise  # already positioned (heap checksum / short read)
         except DECODE_ERRORS as exc:
-            # the checksum passed but the content does not decode (e.g. a
-            # pre-checksum v1 heap took a bit flip): same corruption, one
-            # typed positioned error instead of a codec traceback
             raise CorruptionError(
                 f"undecodable metadata block for {self.name!r}: {exc}",
                 file=self._heap.path,
                 offset=block.ref.offset,
             ) from exc
 
-    def _rows_of(self, value: dict, wanted: set[int] | None = None) -> list[Row]:
-        ids = value["ids"].tolist()
-        positions = None
-        if wanted is not None:
-            positions = [i for i, patch_id in enumerate(ids) if patch_id in wanted]
-            ids = [ids[i] for i in positions]
-        shape, width, packed = value["refs"]
-        if shape == "cols":
-            runs = [_unpack_values(run, positions) for run in packed]
-            refs = list(zip(*runs)) if width else [()] * len(ids)
-        else:
-            refs = [
-                tuple(packed[i])
-                for i in (range(len(packed)) if positions is None else positions)
-            ]
-        unpacked = [
-            (attr, _unpack_column(value["cols"][attr], positions))
-            for attr in value["attrs"]
-        ]
-        rows: list[Row] = []
-        for i, (patch_id, ref_value) in enumerate(zip(ids, refs)):
-            metadata = {}
-            for attr, (mask, values) in unpacked:
-                if mask is None or mask[i]:
-                    metadata[attr] = values[i]
-            rows.append((patch_id, ref_value, metadata))
-        return rows
+    def _open_block(self, block: _Block) -> ColumnBatch:
+        """Read one sealed block; its columns stay packed until asked for."""
+        with self._decoding(block):
+            stored = serialization.loads(self._heap.get(block.ref))
+            return ColumnBatch(self, stored["ids"], block=block, stored=stored)
 
-    def scan_rows(
+    def _tail_batch(self, tail: list[tuple[int, tuple, bytes]]) -> ColumnBatch:
+        return self._row_batch([
+            (patch_id, ref_value, serialization.loads(payload))
+            for patch_id, ref_value, payload in tail
+        ])
+
+    def _row_batch(self, rows: list[Row]) -> ColumnBatch:
+        ids = np.array([row[0] for row in rows], dtype=np.int64)
+        return ColumnBatch(self, ids, rows=rows)
+
+    def scan_columns(
         self, expr: Any = None, on_blocks=None, *, after_id: int | None = None
-    ) -> Iterator[Row]:
-        """All rows in id order; with ``expr``, sealed blocks whose zone
-        maps prove no row can match are skipped *without being read*.
-        Surviving blocks are NOT row-filtered — the caller's Select
-        applies the predicate exactly.
+    ) -> Iterator[ColumnBatch]:
+        """All rows in id order, one :class:`ColumnBatch` per sealed
+        block plus one for the open tail; with ``expr``, sealed blocks
+        whose zone maps prove no row can match are skipped *without
+        being read*. Surviving batches are NOT row-filtered — the caller
+        masks the columns ``expr`` names — and decode nothing until a
+        column or a row is asked for.
 
         ``on_blocks(skipped, scanned)``, when given, receives the scan's
         zone-map actuals as the stream finishes (partial counts when an
@@ -499,14 +625,16 @@ class CollectionSegment:
         the planner's ``block_stats`` estimate.
 
         ``after_id`` resumes an interrupted scan: only rows with a patch
-        id strictly greater are yielded (blocks wholly at or below it are
-        never read). The catalog uses this to restart a scan after a
-        corrupt block forced a segment rebuild, without re-yielding rows
-        its consumer already saw.
+        id strictly greater are delivered (blocks wholly at or below it
+        are never read). The catalog uses this to restart a scan after a
+        corrupt block forced a segment rebuild, without re-delivering
+        rows its consumer already saw.
         """
         with self._lock:
             blocks = list(self._blocks)
             tail = list(self._tail)
+        if after_id is not None:
+            tail = [entry for entry in tail if entry[0] > after_id]
         skipped = scanned = 0
         try:
             for block in blocks:
@@ -516,14 +644,14 @@ class CollectionSegment:
                     skipped += 1
                     continue
                 scanned += 1
-                rows = self._decode_block(block)
-                if after_id is not None:
-                    rows = [row for row in rows if row[0] > after_id]
-                yield from rows
-            for patch_id, ref_value, payload in tail:
-                if after_id is not None and patch_id <= after_id:
-                    continue
-                yield (patch_id, ref_value, serialization.loads(payload))
+                batch = self._open_block(block)
+                if after_id is not None and block.min_id <= after_id:
+                    batch = self._row_batch(
+                        [row for row in batch.rows() if row[0] > after_id]
+                    )
+                yield batch
+            if tail:
+                yield self._tail_batch(tail)
         finally:
             # aggregated per scan, not per block; also runs when the
             # consumer abandons the generator early
@@ -534,10 +662,22 @@ class CollectionSegment:
             if on_blocks is not None:
                 on_blocks(skipped, scanned)
 
-    def get_rows(self, patch_ids: Iterable[int]) -> list[Row]:
+    def scan_rows(
+        self, expr: Any = None, on_blocks=None, *, after_id: int | None = None
+    ) -> Iterator[Row]:
+        """:meth:`scan_columns` as a flat stream of fully built rows."""
+        for batch in self.scan_columns(expr, on_blocks, after_id=after_id):
+            yield from batch.rows()
+
+    def get_rows(
+        self, patch_ids: Iterable[int], attrs: Iterable[str] | None = None
+    ) -> list[Row]:
         """Point access; results align with ``patch_ids``. Raises
-        ``KeyError(patch_id)`` for ids not in the segment."""
+        ``KeyError(patch_id)`` for ids not in the segment. With
+        ``attrs``, only those metadata columns are decoded and returned
+        (a ``SELECT rid`` never inflates a block's embedding column)."""
         ids = list(patch_ids)
+        keep = None if attrs is None else frozenset(attrs)
         with self._lock:
             blocks = list(self._blocks)
             tail = list(self._tail)
@@ -552,15 +692,14 @@ class CollectionSegment:
                 tail_ids.add(patch_id)
         found: dict[int, Row] = {}
         for position, targets in wanted.items():
-            for row in self._decode_block(blocks[position], targets):
+            batch = self._open_block(blocks[position])
+            positions = np.flatnonzero(np.isin(batch.ids, list(targets)))
+            for row in batch.rows(positions, keep):
                 found[row[0]] = row
-        for patch_id, ref_value, payload in tail:
-            if patch_id in tail_ids:
-                found[patch_id] = (
-                    patch_id,
-                    ref_value,
-                    serialization.loads(payload),
-                )
+        if tail_ids:
+            hits = [entry for entry in tail if entry[0] in tail_ids]
+            for row in self._tail_batch(hits).rows(attrs=keep):
+                found[row[0]] = row
         out = []
         for patch_id in ids:
             row = found.get(patch_id)
@@ -617,19 +756,19 @@ class CollectionSegment:
         return lo, hi
 
     def block_stats(self, expr: Any = None) -> tuple[int, int, int]:
-        """(kept blocks, total sealed blocks, surviving-row bound) for the
+        """(kept blocks, total sealed blocks, open tail rows) for the
         planner: how much of the segment a zone-mapped scan would read.
-        Tail rows always survive (they have no zone maps yet)."""
+        Tail rows always survive (they have no zone maps yet) and are
+        costed apart: the tail is still row-format."""
         with self._lock:
             blocks = list(self._blocks)
             tail_rows = len(self._tail)
-        kept = [
-            block
+        kept = sum(
+            1
             for block in blocks
             if expr is None or block_may_match(block.zones, expr)
-        ]
-        rows = sum(block.n_rows for block in kept) + tail_rows
-        return len(kept), len(blocks), rows
+        )
+        return kept, len(blocks), tail_rows
 
     def scrub(self) -> tuple[int, list[CorruptionError]]:
         """Decode every sealed block end to end — checksum *and* content
@@ -640,7 +779,7 @@ class CollectionSegment:
         errors: list[CorruptionError] = []
         for block in blocks:
             try:
-                self._decode_block(block)
+                self._open_block(block).rows()
             except CorruptionError as exc:
                 errors.append(exc)
         return len(blocks), errors

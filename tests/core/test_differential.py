@@ -12,6 +12,10 @@ paths that must agree row-for-row:
 * a session holding a matching materialized view vs a session without
   one (view reuse is a cost-based *physical* choice, never a semantic
   one);
+* the metadata-only path vs the full-record path, and both — filters
+  masked on segment columns across sealed blocks and the open tail,
+  survivors materialized last, counts folded off the mask — vs a plain
+  Python filter/sort/slice over an unfiltered full scan;
 * ANN top-k at an exhaustive beam (``ef = n``) vs brute-force exact
   top-k (the approximate access path must degenerate to the exact
   answer, whichever path the optimizer costs out).
@@ -75,6 +79,17 @@ def db(tmp_path_factory):
         session.materialize(make_patches(), "det")
         session.register_udf("brighten", brighten, provides={"brightness"})
         yield session
+
+
+@pytest.fixture(scope="module")
+def blocked_db(tmp_path_factory):
+    """``det`` in sealed metadata blocks of 16 rows (3 blocks + a 12-row
+    tail), so column filters cross block boundaries and zone maps bite."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.storage.metadata_segment.BLOCK_ROWS", 16)
+        with DeepLens(tmp_path_factory.mktemp("differential_blocks")) as session:
+            session.materialize(make_patches(), "det")
+            yield session
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +255,39 @@ def test_metadata_only_matches_full_scan(db, shape):
     assert all(p.data.size == 0 for p in lean)
     assert lean_signature(lean) == lean_signature(full_query.patches())
     assert lean_signature(db.sql(lean_sql)) == lean_signature(lean)
+
+
+@given(shape=query_shapes())
+@settings(max_examples=40, deadline=None)
+def test_column_filter_matches_python_filter(blocked_db, shape):
+    """The one scan-group operator — predicates masked per segment
+    block, rows (``METADATA ONLY``) or pixel records (late
+    materialization) built for survivors only, ``count`` folded off the
+    mask — against a reference that shares none of it: an unfiltered
+    full scan filtered, sorted and sliced in plain Python."""
+    where, order, limit = shape
+    reference = blocked_db.scan("det").patches()
+    if where is not None:
+        reference = [
+            p for p in reference if all(e.evaluate(p) for e in where[0])
+        ]
+    if order is not None:
+        reference.sort(key=lambda p: p["score"], reverse=order)
+    reference = reference[:limit]
+
+    def lean_signature(patches):
+        return [
+            (p.patch_id, p.img_ref.to_value(), sorted(p.metadata.items()))
+            for p in patches
+        ]
+
+    lean_query, lean_sql = build(blocked_db, shape, load_data=False)
+    full_query, full_sql = build(blocked_db, shape)
+    assert lean_signature(lean_query.patches()) == lean_signature(reference)
+    assert lean_signature(blocked_db.sql(lean_sql)) == lean_signature(reference)
+    assert row_signature(full_query.patches()) == row_signature(reference)
+    assert row_signature(blocked_db.sql(full_sql)) == row_signature(reference)
+    assert full_query.count() == len(reference)
 
 
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 20))
