@@ -120,7 +120,7 @@ def test_table1_stats_driven_estimates_within_10x(traffic):
     ]
     sources = set()
     for expr in predicates:
-        estimated, source = db.optimizer.estimate_filter_rows(
+        estimated, source = db.optimizer.estimator().filter_rows(
             "detections", expr
         )
         actual = sum(1 for patch in detections if expr.evaluate(patch))

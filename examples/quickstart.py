@@ -147,7 +147,7 @@ def main() -> None:
             f"embedding dim {stats.embedding_dim()}, "
             f"label MCVs {label_stats.most_common(2)}"
         )
-        est_rows, source = db.optimizer.estimate_filter_rows(
+        est_rows, source = db.optimizer.estimator().filter_rows(
             "detections", Attr("label") == "vehicle"
         )
         print(f"estimated vehicles: {est_rows:.0f} rows (source: {source})")
@@ -223,7 +223,7 @@ def main() -> None:
         print("\nEXPLAIN ANALYZE (estimated vs actual, per operator):")
         for line in analyzed.profile.lines():
             print(f"  {line}")
-        after = db.optimizer.estimate_filter_rows(
+        after = db.optimizer.estimator().filter_rows(
             "detections", Attr("label") == "vehicle"
         )
         print(

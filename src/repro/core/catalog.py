@@ -205,10 +205,9 @@ class MaterializedCollection:
     def _record_batches(
         self, size: int, load_data: bool
     ) -> Iterator[list[Patch]]:
-        """The full-record path: decode heap records batch-wise. This is
-        what every scan used to be — kept callable with
-        ``load_data=False`` as the segment backfill source (and the
-        pre-fix baseline the metadata-scan benchmark measures against)."""
+        """The full-record path: decode heap records batch-wise — what
+        :meth:`scan_batches` yields, and with ``load_data=False`` the
+        source the metadata segment is rebuilt from."""
         for chunk in chunked(self._tree.items(), size):
             yield self._load_chunk(chunk, load_data)
 
@@ -955,6 +954,11 @@ class Catalog:
         ``multi_value=True`` treats the attribute as a collection of keys
         (an inverted index — e.g. OCR token tuples), valid for hash/btree
         kinds.
+
+        Creating a hash/btree index that is already registered returns
+        the registered one (the structure lives on disk; building again
+        would insert every row a second time), and raises when
+        ``multi_value`` differs from how it was built.
         """
         if kind not in INDEX_KINDS:
             raise IndexError_(
@@ -970,13 +974,22 @@ class Catalog:
             )
         collection = self.collection(collection_name)
         key = (collection_name, attr, kind)
+        if kind in ("hash", "btree") and key in self._registered:
+            if multi_value != (key in self._multi_value):
+                raise IndexError_(
+                    f"{kind} index on {collection_name}.{attr} already exists "
+                    f"with multi_value={key in self._multi_value}; it cannot "
+                    f"be re-created with multi_value={multi_value}"
+                )
+            return self.get_index(collection_name, attr, kind)
         if kind == "hnsw":
             self._index_params[key] = _normalize_hnsw_params(params)
         index = self._build_index(collection, attr, kind, feature_fn, multi_value)
         self._indexes[key] = index
         if key not in self._registered:
             self._registered.append(key)
-        self._multi_value.add(key) if multi_value else None
+        if multi_value:
+            self._multi_value.add(key)
         if kind == "hnsw":
             # the graph snapshot rides the same commit as its registration
             self.persist(("hnsw", collection_name, attr), index)

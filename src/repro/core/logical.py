@@ -556,3 +556,32 @@ def scanned_collections(plan: LogicalPlan) -> list[str]:
             if name not in out:
                 out.append(name)
     return out
+
+
+def filter_chain(
+    node: LogicalPlan,
+) -> tuple[list[Filter], LogicalPlan, Expr | None]:
+    """A maximal ``Filter*`` chain as (its filters outermost first, the
+    node underneath, their predicates ANDed in query order) — the unit
+    both access-path selection and estimation treat as one predicate, so
+    a logged feedback correction for the *conjunction* applies whole."""
+    filters: list[Filter] = []
+    while isinstance(node, Filter):
+        filters.append(node)
+        node = node.child
+    exprs = [f.expr for f in reversed(filters)]
+    combined = And(*exprs) if len(exprs) > 1 else (exprs[0] if exprs else None)
+    return filters, node, combined
+
+
+def base_collection(node: LogicalPlan) -> str | None:
+    """The materialized collection a subtree's rows originate from
+    (first-child descent to the underlying Scan), or None for plans
+    rooted elsewhere."""
+    current: LogicalPlan | None = node
+    while current is not None:
+        if isinstance(current, Scan):
+            return current.collection
+        children = current.children()
+        current = children[0] if children else None
+    return None

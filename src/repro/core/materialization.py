@@ -48,11 +48,8 @@ from repro.core import logical
 from repro.core.catalog import Catalog, MaterializedCollection
 from repro.core.executor import ExecutionContext
 from repro.core.operators import Operator
-from repro.core.optimizer.lowering import (
-    estimate_plan_rows,
-    join_dim,
-    plan_pipeline,
-)
+from repro.core.optimizer.cardinality import CardinalityEstimator
+from repro.core.optimizer.lowering import plan_pipeline
 from repro.core.optimizer.optimizer import Explanation, Optimizer, PlanChoice
 from repro.core.optimizer.rewriter import rewrite
 from repro.core.patch import Patch
@@ -325,13 +322,18 @@ class MaterializationManager:
     # -- planner hook (ViewMatcher) -------------------------------------
 
     def apply(
-        self, plan: logical.LogicalPlan, *, allow_stale: bool = False
+        self,
+        plan: logical.LogicalPlan,
+        estimator: CardinalityEstimator,
+        *,
+        allow_stale: bool = False,
     ) -> tuple[logical.LogicalPlan, list[str], list[Explanation]]:
         """Rewrite plan prefixes that recompute registered views.
 
         Walks the plan top-down (largest prefix first); a subtree whose
         fingerprint matches a fresh view's definition is replaced by a
-        scan of the view when the cost model favours it. Returns the
+        scan of the view when the cost model favours it, recomputation
+        being costed from the planning pass's ``estimator``. Returns the
         possibly-rewritten plan, explain-trace notes, and one decision
         Explanation per considered match.
         """
@@ -346,58 +348,40 @@ class MaterializationManager:
                 definition
             )
             base_sets.add(frozenset(definition.bases))
-        rewritten = self._match(
-            plan, by_fingerprint, base_sets, allow_stale, notes, decisions
-        )
-        return rewritten, notes, decisions
 
-    def _match(
-        self,
-        node: logical.LogicalPlan,
-        by_fingerprint: dict[str, list[ViewDefinition]],
-        base_sets: set[frozenset[str]],
-        allow_stale: bool,
-        notes: list[str],
-        decisions: list[Explanation],
-    ) -> logical.LogicalPlan:
-        # bare scans are never worth substituting (a view of a bare scan
-        # is just a copy of its base), and skipping them keeps the walk
-        # from fingerprinting every leaf
-        if not isinstance(node, logical.Scan):
-            replacement = self._try_rewrite(
-                node, by_fingerprint, base_sets, allow_stale, notes, decisions
-            )
-            if replacement is not None:
-                return replacement
-        children = node.children()
-        if not children:
-            return node
-        new_children = [
-            self._match(
-                child, by_fingerprint, base_sets, allow_stale, notes, decisions
-            )
-            for child in children
-        ]
-        if all(new is old for new, old in zip(new_children, children)):
-            return node
-        return node.with_children(*new_children)
+        def match(node: logical.LogicalPlan) -> logical.LogicalPlan:
+            # bare scans are never worth substituting (a view of a bare
+            # scan is just a copy of its base), and a fingerprint match
+            # implies identical scanned collections, so leaves and
+            # subtrees over other bases skip the (rewrite + fingerprint)
+            # work
+            if (
+                not isinstance(node, logical.Scan)
+                and frozenset(logical.scanned_collections(node)) in base_sets
+            ):
+                matches = by_fingerprint.get(view_fingerprint(node), ())
+                replacement = self._try_rewrite(
+                    node, matches, estimator, allow_stale, notes, decisions
+                )
+                if replacement is not None:
+                    return replacement
+            children = node.children()
+            new_children = [match(child) for child in children]
+            if all(new is old for new, old in zip(new_children, children)):
+                return node
+            return node.with_children(*new_children)
+
+        return match(plan), notes, decisions
 
     def _try_rewrite(
         self,
         node: logical.LogicalPlan,
-        by_fingerprint: dict[str, list[ViewDefinition]],
-        base_sets: set[frozenset[str]],
+        matches: list[ViewDefinition],
+        estimator: CardinalityEstimator,
         allow_stale: bool,
         notes: list[str],
         decisions: list[Explanation],
     ) -> logical.LogicalPlan | None:
-        # a fingerprint match implies identical scanned collections, so
-        # subtrees over other bases skip the (rewrite + fingerprint) work
-        if frozenset(logical.scanned_collections(node)) not in base_sets:
-            return None
-        matches = by_fingerprint.get(view_fingerprint(node))
-        if not matches:
-            return None
         usable: list[tuple[ViewDefinition, list[str]]] = []
         for definition in matches:
             if definition.name not in self.catalog.collections():
@@ -432,9 +416,9 @@ class MaterializationManager:
         )
         recompute_choice = PlanChoice(
             "recompute",
-            self._recompute_cost(node),
+            self._recompute_cost(node, estimator),
             {
-                "est_rows": estimate_plan_rows(self.optimizer, node),
+                "est_rows": estimator.rows(node),
                 "stat_source": "plan-estimate",
             },
         )
@@ -471,45 +455,32 @@ class MaterializationManager:
         )
         return logical.Scan(definition.name)
 
-    def _recompute_cost(self, node: logical.LogicalPlan) -> float:
+    def _recompute_cost(
+        self, node: logical.LogicalPlan, estimator: CardinalityEstimator
+    ) -> float:
         """Modeled cost of computing a subtree from its bases — what
         scanning the view instead would save."""
         cost = self.optimizer.cost
         if isinstance(node, logical.Scan):
-            try:
-                n = len(self.catalog.collection(node.collection))
-            except QueryError:
-                n = 1
-            return cost.full_scan(n)
+            return cost.full_scan(int(estimator.rows(node)))
+        inputs = sum(
+            self._recompute_cost(child, estimator) for child in node.children()
+        )
         if isinstance(node, logical.Filter):
-            return self._recompute_cost(node.child) + cost.filter_per_patch * (
-                estimate_plan_rows(self.optimizer, node.child)
-            )
+            return inputs + cost.filter_per_patch * estimator.rows(node.child)
         if isinstance(node, logical.Map):
-            return self._recompute_cost(node.child) + cost.udf_map(
-                estimate_plan_rows(self.optimizer, node.child)
-            )
+            return inputs + cost.udf_map(estimator.rows(node.child))
         if isinstance(node, logical.SimilarityJoin):
-            n_left = max(int(estimate_plan_rows(self.optimizer, node.left)), 1)
-            n_right = max(int(estimate_plan_rows(self.optimizer, node.right)), 1)
-            dim, _ = join_dim(self.optimizer, node)
-            join_cost = self.optimizer.plan_similarity_join(
-                n_left, n_right, dim
+            join = estimator.join(node)
+            return inputs + self.optimizer.plan_similarity_join(
+                join.n_left, join.n_right, join.dim
             ).chosen.cost_seconds
-            return (
-                self._recompute_cost(node.left)
-                + self._recompute_cost(node.right)
-                + join_cost
-            )
         if isinstance(node, logical.Limit):
             # conservative: a pipeline breaker below would compute its
             # whole input regardless of the limit
-            return self._recompute_cost(node.child)
+            return inputs
         # Project / OrderBy / Aggregate: child cost plus a per-row touch
-        children = node.children()
-        child_cost = sum(self._recompute_cost(child) for child in children)
-        rows = estimate_plan_rows(self.optimizer, node)
-        return child_cost + cost.filter_per_patch * rows
+        return inputs + cost.filter_per_patch * estimator.rows(node)
 
 
 class PersistentUDFCache(UDFCache):

@@ -28,8 +28,8 @@ from repro.core.operators.base import (
     Operator,
     chunked,
     rows_of,
+    timed,
 )
-from repro.core.operators.profiled import ProfiledOperator
 from repro.core.operators.scans import MetadataScan
 from repro.core.patch import Patch, Row
 from repro.errors import QueryError
@@ -138,8 +138,11 @@ class AggregateExecution:
         if self.columns is not None:
             attr = None if self.kind == "count" else self.key.attr
             batches = self.columns.key_batches(attr)
-            if isinstance(self.operator, ProfiledOperator):
-                batches = self.operator.timed(batches, lambda batch: len(batch[0]))
+            entry = self.operator.entry
+            if entry is not None:
+                # folding columns bypasses the scan's batch stream, so
+                # the fold reports the matching rows as its output here
+                batches = timed(entry, batches, lambda batch: len(batch[0]))
             return batches
         if self.kind == "count":
             return ((batch, None) for batch in self.operator.iter_batches(batch_size))

@@ -11,12 +11,19 @@ plan, and it is the only method an operator implements. Row iteration
 derived view that flattens those batches. Operators are lazy; pulling
 the root of a plan drives the whole pipeline, Volcano style [Graefe 94],
 a batch at a time.
+
+``explain(analyze=True)`` runs the very operator objects an unprofiled
+plan is made of: :func:`instrument` points an operator at its
+:class:`~repro.core.profile.OperatorProfile` entry and times its batch
+stream in place, so no wrapper operator ever sits in a plan.
 """
 
 from __future__ import annotations
 
+import time
+
 from abc import ABC, abstractmethod
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.core.batching import (  # noqa: F401  (canonical re-export)
     DEFAULT_BATCH_SIZE,
@@ -25,6 +32,9 @@ from repro.core.batching import (  # noqa: F401  (canonical re-export)
 )
 from repro.core.patch import Patch, Row
 from repro.errors import QueryError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.profile import OperatorProfile
 
 #: A batch flowing between operators.
 Batch = list[Row]
@@ -40,6 +50,13 @@ class Operator(ABC):
     #: emitting anything (sorts); early-exit stages above them (limits)
     #: use this to decide whether shrinking the batch size helps
     pipeline_breaker: bool = False
+
+    #: the profile entry this instance reports to while its plan runs
+    #: under ``explain(analyze=True)`` (set by :func:`instrument`)
+    entry: "OperatorProfile | None" = None
+
+    #: True for scans whose every fetched row is an index probe
+    index_backed: bool = False
 
     @abstractmethod
     def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
@@ -89,3 +106,60 @@ def rows_of(child: Operator, size: int) -> Iterator[Row]:
     exceeding its caller's batch bound."""
     for batch in child.iter_batches(size):
         yield from batch
+
+
+def timed(
+    entry: "OperatorProfile", source: Iterator, rows: Callable[[Any], int] = len
+) -> Iterator:
+    """Pass ``source`` through, counting each item into ``entry`` as one
+    batch of ``rows(item)`` output rows and timing each pull.
+
+    Timing is inclusive — each pull's duration covers the whole subtree
+    below, so an operator's *self* time is its entry's seconds minus its
+    children's. The entry is marked exhausted only when the source
+    raises ``StopIteration``; a limit above that stops pulling early
+    leaves the flag unset, which keeps truncated counts out of the
+    feedback loop.
+    """
+    while True:
+        started = time.perf_counter()
+        try:
+            item = next(source)
+        except StopIteration:
+            entry.add_time(time.perf_counter() - started)
+            entry.mark_exhausted()
+            return
+        entry.add_batch(rows(item), time.perf_counter() - started)
+        yield item
+
+
+def instrument(
+    operator: Operator, entry: "OperatorProfile", *, as_input: bool = False
+) -> None:
+    """Make ``operator`` report to ``entry``, in place.
+
+    Sets ``operator.entry`` (what leaf scans, ANN probes and the UDF
+    memo report their block / probe / cache actuals to) and shadows this
+    instance's ``iter_batches`` with a counting pass over the original:
+    its batches are the entry's timed *output*, or with ``as_input`` the
+    entry's *input* — the storage scan at the base of a scan group,
+    whose row count is what the storage layer actually produced (for
+    index-backed scans, the probe count). Batch boundaries pass through
+    untouched, so a profiled run is the unprofiled run, counted.
+    """
+    operator.entry = entry
+    pull = operator.iter_batches
+    if as_input:
+        index = operator.index_backed
+
+        def counted(size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
+            for batch in pull(size):
+                entry.add_input(len(batch), index=index)
+                yield batch
+
+    else:
+
+        def counted(size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
+            return timed(entry, pull(size))
+
+    operator.iter_batches = counted  # type: ignore[method-assign]

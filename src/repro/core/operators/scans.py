@@ -109,21 +109,26 @@ class MetadataScan(Operator):
         self.collection = collection
         self.expr = expr
         self.load_data = load_data
-        #: optional ``(skipped, scanned)`` callback the lowerer wires to
-        #: the operator's profile entry, grading the zone-map skip
-        #: estimate against what the scan actually skipped
-        self.on_blocks: Callable[[int, int], None] | None = None
+
+    def _on_blocks(self) -> Callable[[int, int], None] | None:
+        """Where the segment reports ``(skipped, scanned)`` block counts:
+        the profile entry, when the planner made a zone-map skip
+        estimate for it to be graded against."""
+        entry = self.entry
+        if entry is None or entry.est_blocks_skipped is None:
+            return None
+        return entry.add_blocks
 
     def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
         for patches in self.collection.metadata_batches(
-            size, self.expr, self.on_blocks, load_data=self.load_data
+            size, self.expr, self._on_blocks(), load_data=self.load_data
         ):
             yield [(patch,) for patch in patches]
 
     def key_batches(self, attr: str | None) -> Iterator[tuple]:
         """``(ids, values of attr)`` of the matching rows, one pair per
         column batch (``values`` is None for ``attr=None``)."""
-        return self.collection.metadata_keys(attr, self.expr, self.on_blocks)
+        return self.collection.metadata_keys(attr, self.expr, self._on_blocks())
 
 
 class _IndexScan(Operator):
@@ -131,6 +136,7 @@ class _IndexScan(Operator):
     yields patch ids, batches of ids become patches through one coalesced
     ``get_many`` heap trip each."""
 
+    index_backed = True
     collection: MaterializedCollection
     load_data: bool
     #: metadata columns a data-less fetch decodes (None: all) — set by
@@ -223,21 +229,17 @@ class AnnTopKScan(_IndexScan):
         self.kind = kind
         self.ef = ef
         self.load_data = load_data
-        #: optional probe-stats callback the lowerer wires to the
-        #: operator's profile entry ({"hops": .., "candidates": ..};
-        #: empty for non-hnsw probes)
-        self.on_search: Callable[[dict], None] | None = None
 
     def _ids(self) -> Iterator[int]:
         index = self.collection.index(self.attr, self.kind)
         if self.kind == "hnsw":
             nearest = index.search(self.query, self.k, ef=self.ef)
-            if self.on_search is not None:
-                self.on_search(dict(index.last_stats))
+            if self.entry is not None:
+                # the beam's hops / distance computations, graded
+                # against the cost model's candidate estimate
+                self.entry.add_ann(index.last_stats)
         else:
             nearest = index.query_knn(self.query, self.k)
-            if self.on_search is not None:
-                self.on_search({})
         return iter([patch_id for _, patch_id in nearest])
 
 

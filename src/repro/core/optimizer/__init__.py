@@ -1,4 +1,12 @@
-"""Query optimization: cost model, planner, storage advisor, synthesis."""
+"""Query optimization: cost model, planner, storage advisor, synthesis.
+
+One module per job: :mod:`.rewriter` (logical rewrite rules),
+:mod:`.cardinality` (every row estimate of a planning pass, behind
+:class:`CardinalityEstimator`), :mod:`.cost` (seconds per physical
+alternative), :mod:`.optimizer` (the cost-based choices and their
+:class:`Explanation`), and :mod:`.lowering` (:func:`plan_pipeline`:
+logical plan in, physical operators out).
+"""
 
 # owned by the operator / UDF layers; re-exported for the planner's callers
 from repro.core.operators.aggregates import AggregateExecution
@@ -9,16 +17,14 @@ from repro.core.optimizer.advisor import (
     StorageRecommendation,
     WorkloadProfile,
 )
-from repro.core.optimizer.cost import CostModel
-from repro.core.optimizer.lowering import (
+from repro.core.optimizer.cardinality import (
     DEFAULT_JOIN_DIM,
     JOIN_PER_DIM_MATCH,
-    ViewMatcher,
+    CardinalityEstimator,
     estimate_join_output,
-    estimate_plan_rows,
-    join_dim,
-    plan_pipeline,
 )
+from repro.core.optimizer.cost import CostModel
+from repro.core.optimizer.lowering import ViewMatcher, plan_pipeline
 from repro.core.optimizer.optimizer import (
     EQ_SELECTIVITY,
     NEQ_SELECTIVITY,
@@ -38,6 +44,7 @@ from repro.core.optimizer.synthesis import (
 __all__ = [
     "AggregateExecution",
     "AppliedRewrite",
+    "CardinalityEstimator",
     "ComponentSpec",
     "CostModel",
     "DEFAULT_JOIN_DIM",
@@ -58,8 +65,6 @@ __all__ = [
     "ViewMatcher",
     "WorkloadProfile",
     "estimate_join_output",
-    "estimate_plan_rows",
-    "join_dim",
     "plan_pipeline",
     "rewrite",
 ]

@@ -12,13 +12,11 @@ Three decisions, each the subject of one of the paper's experiments:
   matching operator changes recall, so plans carry accuracy estimates and
   the optimizer exposes both orders with their latency/accuracy trade-off.
 
-Cardinalities come from a :class:`~repro.core.statistics.
-StatisticsProvider` (by default the catalog itself): equi-depth
-histograms for ranges, most-common-value counts for equality, distinct
-sketches for the tail. Collections without statistics fall back to the
-fixed ``EQ_SELECTIVITY``/``RANGE_SELECTIVITY`` constants, and every
-estimate records which source backed it so ``explain()`` can show
-est-vs-fallback per decision.
+Cardinalities come from the planning pass's
+:class:`~repro.core.optimizer.cardinality.CardinalityEstimator`, which
+reads a :class:`~repro.core.statistics.StatisticsProvider` (by default
+the catalog itself) and records which source backed every estimate so
+``explain()`` can show est-vs-fallback per decision.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from repro.core.catalog import Catalog
 from repro.core.executor import ExecutionPlan
 from repro.core.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.core.expressions import And, Comparison, Expr, extract_bounds
-from repro.core.logical import expr_attrs, expr_signature_key
+from repro.core.logical import expr_attrs
 from repro.core.operators import (
     CollectionScan,
     IndexLookupScan,
@@ -38,25 +36,20 @@ from repro.core.operators import (
     Operator,
     Select,
 )
+from repro.core.optimizer.cardinality import CardinalityEstimator
 from repro.core.optimizer.cost import CostModel
 from repro.core.profile import RuntimeProfile
 from repro.core.statistics import (
     EQ_SELECTIVITY,
     NEQ_SELECTIVITY,
     RANGE_SELECTIVITY,
-    SOURCE_FEEDBACK,
-    CollectionStatistics,
-    Estimate,
     StatisticsProvider,
-    fallback_estimate,
 )
 from repro.errors import OptimizerError
 from repro.vision.backends.device import DEVICE_SPECS
 
 __all__ = [
     "EQ_SELECTIVITY",
-    "FEEDBACK_STALENESS_FRACTION",
-    "FEEDBACK_STALENESS_MIN",
     "NEQ_SELECTIVITY",
     "RANGE_SELECTIVITY",
     "Explanation",
@@ -64,12 +57,6 @@ __all__ = [
     "PlanAccuracy",
     "PlanChoice",
 ]
-
-#: a feedback correction goes stale once the collection has mutated more
-#: than ``max(MIN, FRACTION * rows-at-estimate-time)`` times past the
-#: newest observation — after that, fresh histograms win again
-FEEDBACK_STALENESS_MIN = 16
-FEEDBACK_STALENESS_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -209,97 +196,25 @@ class Optimizer:
         self._metric_feedback_applied = feedback.labels(outcome="applied")
         self._metric_feedback_abstained = feedback.labels(outcome="abstained")
 
-    # -- cardinality estimation ------------------------------------------
-
-    def collection_statistics(
-        self, collection_name: str
-    ) -> CollectionStatistics | None:
-        return self.statistics.statistics_for(collection_name)
-
-    def predicate_estimate(
-        self, collection_name: str, expr: Expr | None
-    ) -> Estimate:
-        """Selectivity of ``expr`` over a collection, with its source.
-
-        A logged feedback correction — the median observed selectivity
-        of this exact predicate over this collection, recorded by
-        ``EXPLAIN ANALYZE`` runs into the catalog's
-        :class:`~repro.core.profile.PlanQualityLog` — wins over every
-        model (source ``feedback``): an observation beats an estimate,
-        and it is precisely the correlated conjunctions the independence
-        assumption mangles that it corrects. Otherwise uses the
-        statistics provider's histograms/MCVs when the collection has
-        statistics, else the fixed fallback constants (source
-        ``fallback-constant``).
-        """
-        if expr is not None:
-            correction = self._feedback_correction(collection_name, expr)
-            if correction is not None:
-                return Estimate(correction, SOURCE_FEEDBACK)
-        stats = self.collection_statistics(collection_name)
-        if stats is None or stats.row_count == 0:
-            return fallback_estimate(expr)
-        return stats.estimate_predicate(expr)
-
-    def _feedback_correction(
-        self, collection_name: str, expr: Expr
-    ) -> float | None:
-        """Median observed selectivity of this exact predicate shape, or
-        None when never profiled (or the catalog keeps no quality log —
-        tests substitute bare providers).
-
-        Corrections do **not** win forever: each observation carries the
-        collection version it was measured at, and when every recorded
-        observation is older than the staleness threshold (the same
-        mutation-counter notion ``CollectionStatistics.staleness``
-        tracks), the correction is ignored and fresh histograms — which
-        *have* seen the new rows — take over.
-        """
-        log_getter = getattr(self.catalog, "plan_quality_log", None)
-        if log_getter is None:
-            return None
-        current_version = None
-        staleness = None
-        version_of = getattr(self.catalog, "collection_version", None)
-        if version_of is not None:
-            current_version = version_of(collection_name)
-            stats = self.collection_statistics(collection_name)
-            rows = stats.row_count if stats is not None else 0
-            staleness = max(
-                FEEDBACK_STALENESS_MIN,
-                int(rows * FEEDBACK_STALENESS_FRACTION),
-            )
-        log = log_getter()
-        expr_key = expr_signature_key(expr)
-        correction = log.correction(
-            collection_name,
-            expr_key,
-            current_version=current_version,
-            staleness=staleness,
+    def estimator(self) -> CardinalityEstimator:
+        """A fresh estimator: the one source of row estimates for one
+        planning pass (its memo must not outlive the pass)."""
+        return CardinalityEstimator(
+            self.catalog,
+            self.statistics,
+            self._metric_feedback_applied,
+            self._metric_feedback_abstained,
         )
-        # count decisions, not lookups: "applied" when an observation
-        # overrode the model, "abstained" only when history existed but
-        # the correction declined (staleness) — never-profiled predicates
-        # are not decisions at all
-        if correction is not None:
-            self._metric_feedback_applied.inc()
-        elif log.has_predicate_history(collection_name, expr_key):
-            self._metric_feedback_abstained.inc()
-        return correction
-
-    def estimate_filter_rows(
-        self, collection_name: str, expr: Expr | None
-    ) -> tuple[float, str]:
-        """Estimated result rows of filtering a collection, plus the
-        statistic that produced the estimate."""
-        n = len(self.catalog.collection(collection_name))
-        estimate = self.predicate_estimate(collection_name, expr)
-        return estimate.rows(n), estimate.source
 
     # -- access-path selection ----------------------------------------------
 
     def plan_filter(
-        self, collection_name: str, expr: Expr | None, *, load_data: bool = True
+        self,
+        collection_name: str,
+        expr: Expr | None,
+        *,
+        load_data: bool = True,
+        estimator: CardinalityEstimator | None = None,
     ) -> tuple[Operator, Explanation]:
         """Best access path for ``SELECT * FROM collection WHERE expr``.
 
@@ -322,14 +237,17 @@ class Optimizer:
           estimate makes it the cheaper of the two.
 
         Index lookups compete with both. An opaque conjunct stays in a
-        ``Select`` above whichever scan wins.
+        ``Select`` above whichever scan wins. Row estimates come from
+        the planning pass's ``estimator``; a direct call is a pass of
+        its own.
         """
+        estimator = estimator if estimator is not None else self.estimator()
         collection = self.catalog.collection(collection_name)
         n = max(len(collection), 1)
         candidates: list[tuple[PlanChoice, Operator]] = []
         described = repr(expr) if expr is not None else "scan"
 
-        estimate = self.predicate_estimate(collection_name, expr)
+        estimate = estimator.selectivity(collection_name, expr)
         est_rows = estimate.rows(len(collection))
         estimated = {"est_rows": est_rows, "stat_source": estimate.source}
         estimates = [
@@ -353,7 +271,7 @@ class Optimizer:
             survivors = (
                 est_rows
                 if opaque is None
-                else self.predicate_estimate(collection_name, structural).rows(
+                else estimator.selectivity(collection_name, structural).rows(
                     len(collection)
                 )
             )
@@ -385,7 +303,9 @@ class Optimizer:
 
         if expr is not None:
             candidates.extend(
-                self._index_candidates(collection_name, expr, n, load_data)
+                self._index_candidates(
+                    collection_name, expr, n, load_data, estimator
+                )
             )
 
         candidates.sort(key=lambda pair: pair[0].cost_seconds)
@@ -397,7 +317,12 @@ class Optimizer:
         )
 
     def _index_candidates(
-        self, collection_name: str, expr: Expr, n: int, load_data: bool = True
+        self,
+        collection_name: str,
+        expr: Expr,
+        n: int,
+        load_data: bool,
+        estimator: CardinalityEstimator,
     ) -> list[tuple[PlanChoice, Operator]]:
         collection = self.catalog.collection(collection_name)
         conjuncts = expr.conjuncts()
@@ -417,7 +342,7 @@ class Optimizer:
                         scan = Select(scan, residual)
                     # expected fetches: the index returns exactly the
                     # rows matching this conjunct
-                    eq_estimate = self.predicate_estimate(
+                    eq_estimate = estimator.selectivity(
                         collection_name, conjunct
                     )
                     expected = eq_estimate.rows(n)
@@ -446,7 +371,7 @@ class Optimizer:
                 combined = _combine(bound_residual, residual)
                 if combined is not None:
                     scan = Select(scan, combined)
-                range_estimate = self.predicate_estimate(
+                range_estimate = estimator.selectivity(
                     collection_name, conjunct
                 )
                 expected = range_estimate.rows(n)

@@ -22,6 +22,10 @@ The rule menu (the logical half of DeepLens Section 5 / EVA's optimizer):
 
 (``cache=True`` maps are memoized at lowering time, where each map node
 is visited exactly once; lowering records that in the explain trace.)
+
+One whole-plan pass runs before the rules: :func:`apply_metadata_only`
+flips scans whose pixel data nothing above them can observe onto the
+metadata segment.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from dataclasses import dataclass, replace
 
 from repro.core.expressions import And
 from repro.core.logical import (
+    Aggregate,
     AnnTopK,
     Filter,
     Limit,
@@ -37,8 +42,10 @@ from repro.core.logical import (
     Map,
     OrderBy,
     Project,
+    Scan,
     expr_attrs,
 )
+from repro.core.udf import AttributeKey
 
 #: safety bound on rewrite passes (each pass walks the whole tree)
 MAX_PASSES = 32
@@ -198,3 +205,82 @@ def _merge_limits(
     return Limit(plan.child.child, tighter)
 
 
+def aggregate_reads_data(node: Aggregate) -> bool:
+    """Whether executing this aggregate can observe its rows' pixel data.
+
+    ``count`` touches nothing; ``distinct_count``/``avg``/``group`` keyed
+    by an :class:`~repro.core.udf.AttributeKey` read only metadata (and
+    ``group`` additionally needs the trivial ``len`` reducer — any other
+    reducer folds whole patch lists and may read anything). Opaque
+    callables are conservatively assumed to read data.
+    """
+    if node.kind == "count":
+        return False
+    if not isinstance(node.key, AttributeKey):
+        return True
+    return node.kind == "group" and node.reducer is not len
+
+
+def apply_metadata_only(
+    plan: LogicalPlan,
+) -> tuple[LogicalPlan, list[str]]:
+    """Flip eligible scans to ``load_data=False`` automatically.
+
+    A top-down pass tracking whether any consumer above each node can
+    *observe* pixel data. Where nothing can — a metadata-only aggregate,
+    or a ``Project`` that drops data — the storage scan underneath is
+    rewritten to skip the blob heap entirely and read the columnar
+    metadata segment instead. Opaque predicates, UDF maps, similarity
+    joins, and rows returned to the caller all count as observers.
+
+    Returns the (possibly unchanged) plan plus explain-trace note lines.
+    """
+    notes: list[str] = []
+
+    def visit(
+        node: LogicalPlan, observed: bool
+    ) -> LogicalPlan:
+        if isinstance(node, Scan):
+            if node.load_data and not observed:
+                notes.append(
+                    f"metadata-only: nothing above Scan({node.collection}) "
+                    f"reads pixel data; scanning the metadata segment "
+                    f"instead of the blob heap"
+                )
+                return replace(node, load_data=False)
+            return node
+        children = node.children()
+        if isinstance(node, Aggregate):
+            flags = (aggregate_reads_data(node),)
+        elif isinstance(node, Project):
+            # data dropped here is invisible above, so the child only
+            # needs it when the projection itself keeps it for an observer
+            flags = (observed and node.keep_data,)
+        elif isinstance(node, Filter):
+            # an opaque Predicate may read patch.data; structural
+            # comparisons declare their attributes and never do
+            flags = (observed or expr_attrs(node.expr) is None,)
+        elif isinstance(node, OrderBy):
+            # ordering by similarity against the data payload reads pixels
+            data_distance = (
+                node.vector is not None
+                and (node.vector_attr or "data") == "data"
+            )
+            flags = (observed or data_distance,)
+        elif isinstance(node, Limit):
+            flags = (observed,)
+        else:
+            # Map (UDF may read data), SimilarityJoin (features default to
+            # patch.data), and any future node: assume children observed
+            flags = tuple(True for _ in children)
+        new_children = tuple(
+            visit(child, flag) for child, flag in zip(children, flags)
+        )
+        if all(
+            new is old for new, old in zip(new_children, children)
+        ):
+            return node
+        return node.with_children(*new_children)
+
+    # the caller iterates the root's rows, so the root itself is observed
+    return visit(plan, True), notes

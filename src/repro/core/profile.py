@@ -16,9 +16,10 @@ This module is the feedback half of that loop:
   ``max(est/actual, actual/est)`` with both sides floored at one row;
 * :class:`PlanQualityLog` — the catalog-persisted history keyed by
   *parameterized* plan fingerprint, plus per-predicate observed
-  selectivities that :meth:`~repro.core.optimizer.Optimizer.
-  predicate_estimate` consults before the histogram/MCV path — repeated
-  query shapes correct the independence assumption's worst misses.
+  selectivities that :meth:`~repro.core.optimizer.cardinality.
+  CardinalityEstimator.selectivity` consults before the histogram/MCV
+  path — repeated query shapes correct the independence assumption's
+  worst misses.
 
 Everything here is storage- and operator-agnostic (pure stdlib), so the
 executor, the lowering, and the catalog can all import it freely.
@@ -52,11 +53,10 @@ def q_error(est: float, actual: float) -> float:
 class OperatorProfile:
     """Runtime counters of one physical operator in one executed plan.
 
-    Output rows/batches/time are counted by the
-    :class:`~repro.core.operators.ProfiledOperator` wrapper driving the
-    operator; input rows come either from the child entries (``children``)
-    or, for leaf scan groups, from an
-    :class:`~repro.core.operators.InputProbe` around the storage scan.
+    Output rows/batches/time are counted by the operator itself once
+    :func:`~repro.core.operators.instrument` points it at this entry;
+    input rows come either from the child entries (``children``) or, for
+    leaf scan groups, from the storage scan instrumented ``as_input``.
     All mutation happens under ``_lock`` — parallel plans drive different
     operators from different threads (prefetch producers, map workers),
     and the totals must be exact, not approximately right.

@@ -490,7 +490,7 @@ class DeepLens:
         repeated executions of the same plan shape accumulate one
         history. The log doubles as the optimizer's feedback store:
         observed filter selectivities become per-predicate correction
-        factors that :meth:`Optimizer.predicate_estimate` consults
+        factors that :meth:`CardinalityEstimator.selectivity` consults
         before the histogram/MCV path (source ``feedback`` in
         ``explain()``)."""
         return self.catalog.plan_quality_log()

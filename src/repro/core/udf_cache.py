@@ -20,7 +20,7 @@ from repro.core.patch import LINEAGE_KEY, Patch
 from repro.errors import QueryError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.profile import OperatorProfile
+    from repro.core.operators import Operator
 
 
 class UDFCache:
@@ -184,17 +184,12 @@ class UDFCache:
         return value
 
     def wrap(
-        self,
-        name: str,
-        fn: Callable[[Patch], Any],
-        *,
-        counters: "OperatorProfile | None" = None,
+        self, name: str, fn: Callable[[Patch], Any]
     ) -> Callable[[Patch], Any]:
         """Scalar form of :meth:`wrap_batch` — the same memo driven with
         one-patch batches, so both forms of one UDF share entries."""
         batched = self.wrap_batch(
-            name, lambda patches: [fn(p) for p in patches],
-            identity=fn, counters=counters,
+            name, lambda patches: [fn(p) for p in patches], identity=fn
         )
         return lambda patch: batched([patch])[0]
 
@@ -204,18 +199,23 @@ class UDFCache:
         batch_fn: Callable[[list[Patch]], list],
         *,
         identity: Callable | None = None,
-        counters: "OperatorProfile | None" = None,
+        operator: "Operator | None" = None,
     ) -> Callable[[list[Patch]], list]:
         """Memoize a vectorized UDF: only cache misses reach ``batch_fn``.
 
         ``identity`` (defaulting to ``batch_fn``) is the function used in
         cache keys; passing the map's scalar fn lets the scalar and
-        vectorized forms of one UDF share entries. ``counters`` (an
-        operator's profile entry) mirrors every hit/miss this wrapper
-        adds to the cache-wide totals, so profiled plans attribute cache
-        traffic to the map that caused it.
+        vectorized forms of one UDF share entries. ``operator`` is the
+        map the wrapper runs for: every hit/miss added to the cache-wide
+        totals is mirrored to ``operator.entry`` when it has one, so
+        profiled plans attribute cache traffic to the map that caused it.
         """
         ident = identity if identity is not None else batch_fn
+
+        def report(hits: int, misses: int) -> None:
+            entry = getattr(operator, "entry", None)
+            if entry is not None:
+                entry.add_cache(hits, misses)
 
         def cached(patches: list[Patch]) -> list:
             results: list = [None] * len(patches)
@@ -257,8 +257,7 @@ class UDFCache:
                     # stored values are never mutated)
                     if memory_hits:
                         self._metric_hits.inc(len(memory_hits))
-                    if counters is not None and memory_hits:
-                        counters.add_cache(len(memory_hits), 0)
+                    report(len(memory_hits), 0)
                     for position, value in memory_hits.items():
                         results[position] = self._isolate(value)
                     if compute:
@@ -307,8 +306,7 @@ class UDFCache:
                             self._metric_disk_hits.inc(len(served))
                         if missing:
                             self._metric_misses.inc(len(missing))
-                        if counters is not None:
-                            counters.add_cache(len(served), len(missing))
+                        report(len(served), len(missing))
                         for position in missing:
                             if keys[position] is not None:
                                 self._spill(keys[position], isolated[position])

@@ -10,8 +10,7 @@ Format v2 (``DLHP0002``) frames every record as ``(length, flags,
 payload CRC32)`` + payload; the CRC is verified on every read, so torn or
 bit-flipped records raise a positioned
 :class:`~repro.errors.CorruptionError` instead of surfacing as downstream
-``zlib``/``struct`` garbage. v1 files still open (and keep appending v1
-records) with verification off.
+``zlib``/``struct`` garbage.
 
 Being append-only is what makes the heap trivially journal-friendly: the
 commit journal only records the pre-transaction end offset, and rollback is
@@ -29,12 +28,9 @@ from dataclasses import dataclass
 from repro.errors import CorruptionError, StorageError
 
 _MAGIC = b"DLHP0002"
-_MAGIC_V1 = b"DLHP0001"
 _HEADER_SIZE = 16  # magic + reserved
 _REC_HEADER = ">QBI"  # payload length, flags, payload crc32
 _REC_HEADER_SIZE = struct.calcsize(_REC_HEADER)
-_REC_HEADER_V1 = ">QB"
-_REC_HEADER_V1_SIZE = struct.calcsize(_REC_HEADER_V1)
 _FLAG_COMPRESSED = 0x01
 
 #: multi_get coalescing: two sorted requests whose file gap is at most
@@ -136,11 +132,7 @@ class BlobHeap:
         if exists:
             self._file.seek(0)
             magic = self._file.read(8)
-            if magic == _MAGIC:
-                self.checksums = True
-            elif magic == _MAGIC_V1:
-                self.checksums = False
-            else:
+            if magic != _MAGIC:
                 raise CorruptionError(
                     f"bad heap magic {magic!r}",
                     file=self.path,
@@ -149,14 +141,9 @@ class BlobHeap:
             self._file.seek(0, os.SEEK_END)
             self._end = self._file.tell()
         else:
-            self.checksums = True
             self._file.write(_MAGIC.ljust(_HEADER_SIZE, b"\x00"))
             self._file.flush()
             self._end = _HEADER_SIZE
-        if self.checksums:
-            self._rec_fmt, self._rec_size = _REC_HEADER, _REC_HEADER_SIZE
-        else:
-            self._rec_fmt, self._rec_size = _REC_HEADER_V1, _REC_HEADER_V1_SIZE
         self._closed = False
 
     def __enter__(self) -> "BlobHeap":
@@ -185,12 +172,7 @@ class BlobHeap:
             # opening the transaction before taking the heap lock keeps
             # the component -> journal lock order acyclic
             self._journal.ensure_active()
-        if self.checksums:
-            header = struct.pack(
-                _REC_HEADER, len(payload), flags, zlib.crc32(payload)
-            )
-        else:
-            header = struct.pack(_REC_HEADER_V1, len(payload), flags)
+        header = struct.pack(_REC_HEADER, len(payload), flags, zlib.crc32(payload))
         with self._lock:
             self._check_open()
             offset = self._end
@@ -209,11 +191,11 @@ class BlobHeap:
             if ref.offset < _HEADER_SIZE or ref.offset >= self._end:
                 raise StorageError(f"blob offset {ref.offset} out of range")
             self._file.seek(ref.offset)
-            header = self._file.read(self._rec_size)
+            header = self._file.read(_REC_HEADER_SIZE)
             length, flags, crc = self._parse_header(header, ref)
             payload = self._file.read(length)
         self._metric_reads.inc()
-        self._metric_read_bytes.inc(self._rec_size + length)
+        self._metric_read_bytes.inc(_REC_HEADER_SIZE + length)
         if len(payload) != length:
             self._metric_corruption.inc()
             raise CorruptionError(
@@ -252,7 +234,7 @@ class BlobHeap:
                     raise StorageError(
                         f"blob offset {ref.offset} out of range"
                     )
-                record_end = ref.offset + self._rec_size + ref.length
+                record_end = ref.offset + _REC_HEADER_SIZE + ref.length
                 if not run:
                     run, run_start, run_end = [position], ref.offset, record_end
                 elif (
@@ -302,9 +284,9 @@ class BlobHeap:
         for position in run:
             ref = refs[position]
             base = ref.offset - run_start
-            header = buffer[base : base + self._rec_size]
+            header = buffer[base : base + _REC_HEADER_SIZE]
             length, flags, crc = self._parse_header(header, ref)
-            payload = buffer[base + self._rec_size : base + self._rec_size + length]
+            payload = buffer[base + _REC_HEADER_SIZE : base + _REC_HEADER_SIZE + length]
             if len(payload) != length:
                 self._metric_corruption.inc()
                 raise CorruptionError(
@@ -315,19 +297,15 @@ class BlobHeap:
             raw[position] = (payload, flags, crc)
 
     def _parse_header(self, header: bytes, ref: BlobRef):
-        """Decode one record header; returns (length, flags, crc|None)."""
-        if len(header) < self._rec_size:
+        """Decode one record header; returns (length, flags, crc)."""
+        if len(header) < _REC_HEADER_SIZE:
             self._metric_corruption.inc()
             raise CorruptionError(
                 "truncated blob record header",
                 file=self.path,
                 offset=ref.offset,
             )
-        if self.checksums:
-            length, flags, crc = struct.unpack(_REC_HEADER, header)
-        else:
-            length, flags = struct.unpack(_REC_HEADER_V1, header)
-            crc = None
+        length, flags, crc = struct.unpack(_REC_HEADER, header)
         if length != ref.length:
             self._metric_corruption.inc()
             raise CorruptionError(
@@ -338,9 +316,7 @@ class BlobHeap:
             )
         return length, flags, crc
 
-    def _verify(self, payload: bytes, crc: int | None, offset: int) -> None:
-        if crc is None:
-            return
+    def _verify(self, payload: bytes, crc: int, offset: int) -> None:
         computed = zlib.crc32(payload)
         if computed != crc:
             self._metric_corruption.inc()
@@ -371,20 +347,17 @@ class BlobHeap:
         in ``deeplens_corruption_detected_total``); a *structural* fault —
         a truncated header or a length that overruns the file — ends the
         walk, since record framing cannot be resynchronized past it.
-        Returns ``(records_checked, errors)``. Pre-checksum v1 heaps
-        check nothing.
+        Returns ``(records_checked, errors)``.
         """
         errors: list[CorruptionError] = []
         checked = 0
         with self._lock:
             self._check_open()
-            if not self.checksums:
-                return 0, errors
             offset = _HEADER_SIZE
             while offset < self._end:
                 self._file.seek(offset)
-                header = self._file.read(self._rec_size)
-                if len(header) < self._rec_size:
+                header = self._file.read(_REC_HEADER_SIZE)
+                if len(header) < _REC_HEADER_SIZE:
                     self._metric_corruption.inc()
                     errors.append(
                         CorruptionError(
@@ -395,7 +368,7 @@ class BlobHeap:
                     )
                     break
                 length, flags, crc = struct.unpack(_REC_HEADER, header)
-                if offset + self._rec_size + length > self._end:
+                if offset + _REC_HEADER_SIZE + length > self._end:
                     self._metric_corruption.inc()
                     errors.append(
                         CorruptionError(
@@ -420,7 +393,7 @@ class BlobHeap:
                     self._verify(payload, crc, offset)
                 except CorruptionError as exc:
                     errors.append(exc)
-                offset += self._rec_size + length
+                offset += _REC_HEADER_SIZE + length
         return checked, errors
 
     def sync(self) -> None:

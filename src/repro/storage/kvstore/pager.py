@@ -19,7 +19,6 @@ write-through and verified on every disk read — a torn or bit-flipped page
 surfaces as a positioned :class:`~repro.errors.CorruptionError` instead of
 garbage decoding downstream. Clients therefore size their structures
 against :attr:`Pager.capacity` (``page_size - 4``), not ``page_size``.
-Files written by the pre-checksum v1 format still open (checksums off).
 
 Durability: writes participate in the catalog's
 :class:`~repro.storage.journal.CommitJournal` when one is attached — the
@@ -41,9 +40,8 @@ from repro.storage.faultfs import OS_OPS
 from repro.storage.kvstore import serialization
 
 MAGIC = b"DLPG0002"
-_MAGIC_V1 = b"DLPG0001"
 DEFAULT_PAGE_SIZE = 4096
-# magic, page_size, page_count, freelist_head, meta_page (+ CRC32 in v2)
+# magic, page_size, page_count, freelist_head, meta_page (+ CRC32)
 _HEADER_BODY_FMT = ">8sIQQQ"
 _HEADER_BODY_SIZE = struct.calcsize(_HEADER_BODY_FMT)
 _HEADER_SIZE = _HEADER_BODY_SIZE + 4
@@ -136,7 +134,6 @@ class Pager:
             if page_size < 512:
                 raise PageError(f"page size {page_size} too small (minimum 512)")
             self.page_size = page_size
-            self.checksums = True
             self.page_count = 1
             self._freelist_head = _NO_PAGE
             self._meta_page = _NO_PAGE
@@ -241,9 +238,8 @@ class Pager:
             if len(data) < self.page_size:
                 data = data.ljust(self.page_size, b"\x00")
             image = bytearray(data)
-            if self.checksums:
-                self._verify_page(page_id, image)
-                image[self.capacity :] = bytes(_TRAILER_SIZE)
+            self._verify_page(page_id, image)
+            image[self.capacity :] = bytes(_TRAILER_SIZE)
             self._cache_put(page_id, image, dirty=False)
             return bytearray(image)
 
@@ -259,7 +255,7 @@ class Pager:
                     f"{self.page_size}"
                 )
             image = bytearray(data.ljust(self.page_size, b"\x00"))
-            if self.checksums and any(image[self.capacity :]):
+            if any(image[self.capacity :]):
                 raise PageError(
                     f"page image of {len(data)} bytes overruns the "
                     f"{_TRAILER_SIZE}-byte checksum trailer; usable "
@@ -331,17 +327,14 @@ class Pager:
             # write-ahead rule: the on-disk image must be safely in the
             # journal before this overwrite can clobber it
             self._journal.record_page(page_id, self._on_disk_image(page_id))
-        out = bytes(image)
-        if self.checksums:
-            # stamp the CRC into a copy, never the cached image: cache
-            # hits must keep returning pure payload bytes
-            stamped = bytearray(out)
-            struct.pack_into(
-                ">I", stamped, self.capacity, zlib.crc32(out[: self.capacity])
-            )
-            out = bytes(stamped)
+        # stamp the CRC into a copy, never the cached image: cache hits
+        # must keep returning pure payload bytes
+        stamped = bytearray(image)
+        struct.pack_into(
+            ">I", stamped, self.capacity, zlib.crc32(image[: self.capacity])
+        )
         self._file.seek(page_id * self.page_size)
-        self._file.write(out)
+        self._file.write(stamped)
 
     def _on_disk_image(self, page_id: int) -> bytes:
         """The raw on-disk bytes of a page (CRC trailer included)."""
@@ -371,13 +364,11 @@ class Pager:
         committed image — the bytes recovery would restore). Collects
         failures instead of raising; each detection still counts in
         ``deeplens_corruption_detected_total``. Returns
-        ``(pages_checked, errors)``. Pre-checksum v1 files check nothing.
+        ``(pages_checked, errors)``.
         """
         errors: list[CorruptionError] = []
         with self._lock:
             self._check_open()
-            if not self.checksums:
-                return 0, errors
             checked = 0
             for page_id in range(1, self.page_count):
                 image = bytearray(self._on_disk_image(page_id))
@@ -393,14 +384,13 @@ class Pager:
         the before-image the commit journal snapshots at BEGIN."""
         body = struct.pack(
             _HEADER_BODY_FMT,
-            MAGIC if self.checksums else _MAGIC_V1,
+            MAGIC,
             self.page_size,
             self.page_count,
             self._freelist_head,
             self._meta_page,
         )
-        if self.checksums:
-            body += struct.pack(">I", zlib.crc32(body))
+        body += struct.pack(">I", zlib.crc32(body))
         return body.ljust(min(self.page_size, 512), b"\x00")
 
     def _write_header(self) -> None:
@@ -411,35 +401,24 @@ class Pager:
     def _load_header(self) -> None:
         self._file.seek(0)
         raw = self._file.read(_HEADER_SIZE)
-        if len(raw) < _HEADER_BODY_SIZE:
+        if len(raw) < _HEADER_SIZE:
             raise CorruptionError(
-                f"truncated pager header ({len(raw)} of "
-                f"{_HEADER_BODY_SIZE} bytes)",
+                f"truncated pager header ({len(raw)} of {_HEADER_SIZE} bytes)",
                 file=self.path,
                 offset=0,
             )
         magic = raw[:8]
-        if magic == MAGIC:
-            if len(raw) < _HEADER_SIZE:
-                raise CorruptionError(
-                    "truncated pager header (checksum missing)",
-                    file=self.path,
-                    offset=0,
-                )
-            (crc,) = struct.unpack_from(">I", raw, _HEADER_BODY_SIZE)
-            if zlib.crc32(raw[:_HEADER_BODY_SIZE]) != crc:
-                self._metric_corruption.inc()
-                raise CorruptionError(
-                    "pager header checksum mismatch",
-                    file=self.path,
-                    offset=0,
-                )
-            self.checksums = True
-        elif magic == _MAGIC_V1:
-            self.checksums = False
-        else:
+        if magic != MAGIC:
             raise CorruptionError(
                 f"bad magic {magic!r}; not a pager file",
+                file=self.path,
+                offset=0,
+            )
+        (crc,) = struct.unpack_from(">I", raw, _HEADER_BODY_SIZE)
+        if zlib.crc32(raw[:_HEADER_BODY_SIZE]) != crc:
+            self._metric_corruption.inc()
+            raise CorruptionError(
+                "pager header checksum mismatch",
                 file=self.path,
                 offset=0,
             )
@@ -463,6 +442,4 @@ class Pager:
     def capacity(self) -> int:
         """Usable bytes per page for client payloads (the CRC trailer is
         the pager's own)."""
-        if self.checksums:
-            return self.page_size - _TRAILER_SIZE
-        return self.page_size
+        return self.page_size - _TRAILER_SIZE

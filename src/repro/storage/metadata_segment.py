@@ -578,9 +578,8 @@ class CollectionSegment:
     @contextmanager
     def _decoding(self, block: _Block) -> Iterator[None]:
         """Position whatever decoding ``block`` raises: the checksum
-        passed but the content does not decode (e.g. a pre-checksum v1
-        heap took a bit flip) — same corruption, one typed positioned
-        error instead of a codec traceback."""
+        passed but the content does not decode — same corruption, one
+        typed positioned error instead of a codec traceback."""
         try:
             yield
         except CorruptionError:

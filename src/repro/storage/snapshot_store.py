@@ -52,8 +52,8 @@ BASE = "base"
 DELTA = "delta"
 
 #: what a record that passed its checksum can still raise while being
-#: decoded or folded (a pre-checksum heap took a bit flip, or a client
-#: rejected an inconsistent value): all one positioned CorruptionError
+#: decoded or folded (a writer stored a value its reader rejects, or a
+#: client found it inconsistent): all one positioned CorruptionError
 DECODE_ERRORS = (
     StorageError,
     zlib.error,

@@ -142,6 +142,57 @@ class TestCatalog:
             assert len(index.lookup("ALPHA")) == 4
             assert len(index.lookup("W2")) == 1
 
+    @pytest.mark.parametrize("kind", ["hash", "btree"])
+    def test_recreating_an_index_is_idempotent(self, tmp_path, kind):
+        """A second create_index on a registered hash/btree key used to
+        re-insert every row into the reattached on-disk structure, so
+        each lookup matched twice and COUNT(*) doubled."""
+        with DeepLens(tmp_path) as db:
+            db.materialize(make_patches(12), "c")  # frameno 0..11, unique
+            first = db.create_index("c", "frameno", kind)
+            assert db.create_index("c", "frameno", kind) is first
+            assert list(first.lookup(7)) == [7]
+            query = db.scan("c").filter(Attr("frameno") == 7)
+            assert query.explain().chosen.kind == f"{kind}-lookup"
+            assert query.count() == 1
+        with DeepLens(tmp_path) as db:  # and across a reopen
+            db.create_index("c", "frameno", kind)
+            assert db.scan("c").filter(Attr("frameno") == 7).count() == 1
+
+    def test_recreating_an_index_through_lensql_is_idempotent(self, tmp_path):
+        with DeepLens(tmp_path) as db:
+            db.materialize(make_patches(30), "c")
+            db.sql("CREATE INDEX ON c (frameno) USING btree")
+            db.sql("CREATE INDEX ON c (frameno) USING btree")
+            statement = "SELECT COUNT(*) FROM c WHERE frameno = 17"
+            assert "btree-lookup" in str(db.sql("EXPLAIN " + statement))
+            assert db.sql(statement) == 1
+
+    def test_recreating_a_multi_value_index_as_single_value_raises(self, tmp_path):
+        """The multi-value flag used to survive a single-value
+        re-creation, so rows added afterwards were filed under each
+        element rather than under the whole tuple."""
+
+        def tagged(i):
+            patch = Patch.from_frame("doc", i, np.zeros((4, 4, 3), np.uint8))
+            patch.metadata["tags"] = ("a", "b")
+            return patch
+
+        with DeepLens(tmp_path) as db:
+            collection = db.materialize([tagged(0)], "texts")
+            index = db.create_index("texts", "tags", "hash", multi_value=True)
+            assert db.create_index("texts", "tags", "hash", multi_value=True) is index
+            with pytest.raises(IndexError_, match="multi_value=True"):
+                db.create_index("texts", "tags", "hash")
+            collection.add(tagged(1))
+            # still the inverted index it was built as, old and new rows alike
+            assert sorted(index.lookup("a")) == [0, 1]
+            assert not index.lookup(("a", "b"))
+            # and a plain index, once created, cannot turn multi-value
+            db.create_index("texts", "frameno", "btree")
+            with pytest.raises(IndexError_, match="multi_value=False"):
+                db.create_index("texts", "frameno", "btree", multi_value=True)
+
     def test_multi_value_requires_hash_or_btree(self, tmp_path):
         with Catalog(tmp_path) as catalog:
             catalog.materialize(make_patches(2), "c")

@@ -108,7 +108,7 @@ class TestExplainAnalyze:
         )
         # the scan stopped after 5 matches: the observed selectivity is
         # not the predicate's selectivity, so no correction is learned
-        estimate = db.optimizer.predicate_estimate("det", Attr("label") == "car")
+        estimate = db.optimizer.estimator().selectivity("det", Attr("label") == "car")
         assert estimate.source != "feedback"
 
 
@@ -124,7 +124,7 @@ class TestFeedbackLoop:
         after = correlated_query(db).explain()
         assert any("(feedback)" in line for line in after.estimates)
         expr = (Attr("label") == "car") & (Attr("kind") == "road")
-        estimate = db.optimizer.predicate_estimate("det", expr)
+        estimate = db.optimizer.estimator().selectivity("det", expr)
         assert estimate.source == "feedback"
         assert estimate.selectivity == pytest.approx(0.5)
         # re-analyzing under the corrected estimate grades at q ~= 1
@@ -148,8 +148,8 @@ class TestFeedbackLoop:
         # same plan shape, different literals: one pooled history...
         assert len(db.plan_quality_log()) == 1
         # ...but distinct predicates learn distinct corrections
-        low = db.optimizer.predicate_estimate("det", Attr("score") > 10.0)
-        high = db.optimizer.predicate_estimate("det", Attr("score") > 90.0)
+        low = db.optimizer.estimator().selectivity("det", Attr("score") > 10.0)
+        high = db.optimizer.estimator().selectivity("det", Attr("score") > 90.0)
         assert low.source == high.source == "feedback"
         assert low.selectivity == pytest.approx(109 / 120)
         assert high.selectivity == pytest.approx(29 / 120)

@@ -320,7 +320,7 @@ class TestStatsDrivenLowering:
         # the sampled pairwise fraction sees it. Clusters are interleaved
         # in materialization order so the first-K vector sample covers
         # both.
-        from repro.core.optimizer.lowering import estimate_join_output
+        from repro.core.optimizer import estimate_join_output
         from repro.core.profile import q_error
         from repro.core.statistics import sample_match_fraction
 
@@ -380,15 +380,13 @@ class TestStatsDrivenLowering:
             )
 
     def test_estimate_rows_uses_statistics(self, tmp_path):
-        from repro.core.optimizer import estimate_plan_rows
-
         with self._catalog(tmp_path) as catalog:
             optimizer = Optimizer(catalog)
             # patches(): label "car" on even ids — exactly half
             plan = logical.Filter(logical.Scan("c"), Attr("label") == "car")
-            assert estimate_plan_rows(optimizer, plan) == pytest.approx(20.0)
+            assert optimizer.estimator().rows(plan) == pytest.approx(20.0)
             limited = logical.Limit(plan, 5)
-            assert estimate_plan_rows(optimizer, limited) == pytest.approx(5.0)
+            assert optimizer.estimator().rows(limited) == pytest.approx(5.0)
 
     def test_join_output_estimate_from_dim_and_sizes(self, tmp_path):
         """SimilarityJoin output must be estimated as a match count, not
@@ -396,7 +394,6 @@ class TestStatsDrivenLowering:
         from repro.core.optimizer import (
             JOIN_PER_DIM_MATCH,
             estimate_join_output,
-            estimate_plan_rows,
         )
 
         with self._catalog(tmp_path) as catalog:
@@ -406,13 +403,13 @@ class TestStatsDrivenLowering:
                 logical.Scan("c"), logical.Scan("c"), threshold=1.0, dim=2
             )
             expected = 40 * 40 * JOIN_PER_DIM_MATCH**2
-            assert estimate_plan_rows(optimizer, low) == pytest.approx(expected)
-            assert estimate_plan_rows(optimizer, low) != pytest.approx(40.0)
+            assert optimizer.estimator().rows(low) == pytest.approx(expected)
+            assert optimizer.estimator().rows(low) != pytest.approx(40.0)
             # high dim floors at ~one near-duplicate partner per left row
             high = logical.SimilarityJoin(
                 logical.Scan("c"), logical.Scan("c"), threshold=1.0, dim=64
             )
-            assert estimate_plan_rows(optimizer, high) == pytest.approx(40.0)
+            assert optimizer.estimator().rows(high) == pytest.approx(40.0)
             # exclude_self removes the identity pairs
             assert estimate_join_output(
                 40, 40, 64, exclude_self=True
@@ -428,7 +425,7 @@ class TestStatsDrivenLowering:
                 threshold=1.0,
                 dim=2,
             )
-            assert estimate_plan_rows(optimizer, filtered) == pytest.approx(
+            assert optimizer.estimator().rows(filtered) == pytest.approx(
                 20 * 40 * JOIN_PER_DIM_MATCH**2
             )
 
@@ -456,17 +453,16 @@ class TestStatsDrivenLowering:
             EQ_SELECTIVITY,
             NEQ_SELECTIVITY,
             RANGE_SELECTIVITY,
-            estimate_plan_rows,
         )
 
         with self._catalog(tmp_path) as catalog:
             optimizer = Optimizer(catalog)
             plan = logical.Filter(logical.Scan("c"), Attr("label") != "car")
             # with statistics: exactly the non-car half
-            assert estimate_plan_rows(optimizer, plan) == pytest.approx(20.0)
+            assert optimizer.estimator().rows(plan) == pytest.approx(20.0)
             # without statistics: the complement constant, NOT the range one
             catalog.drop_statistics("c")
-            rows = estimate_plan_rows(optimizer, plan)
+            rows = optimizer.estimator().rows(plan)
             assert rows == pytest.approx(40 * NEQ_SELECTIVITY)
             assert rows == pytest.approx(40 * (1.0 - EQ_SELECTIVITY))
             assert rows != pytest.approx(40 * RANGE_SELECTIVITY)

@@ -527,14 +527,14 @@ class TestFeedbackStaleness:
             db.materialize(make_patches(30), "det")
             query = db.scan("det").filter(Attr("label") == "car")
             query.explain(analyze=True)  # records the observed selectivity
-            estimate = db.optimizer.predicate_estimate(
+            estimate = db.optimizer.estimator().selectivity(
                 "det", Attr("label") == "car"
             )
             assert estimate.source == "feedback"
             collection = db.collection("det")
             for patch in make_patches(17, source="later"):
                 collection.add(patch)  # each add bumps the version
-            estimate = db.optimizer.predicate_estimate(
+            estimate = db.optimizer.estimator().selectivity(
                 "det", Attr("label") == "car"
             )
             assert estimate.source != "feedback"

@@ -9,6 +9,11 @@ fixture here — a new operator cannot skip the suite. For each one:
 * no batch is empty or longer than ``size``;
 * every child is pulled with a size no larger than the caller's (spied);
 * the class does not define ``__iter__`` — only the base derives it.
+
+The size contract also holds for operators carrying the
+``explain(analyze=True)`` instrumentation (:func:`instrument` shadows
+``iter_batches`` in place): a scan reporting as a profile entry's input
+and output, and a breaker reporting as its output.
 """
 
 import numpy as np
@@ -26,7 +31,6 @@ from repro.core.operators import (
     IndexEqJoin,
     IndexLookupScan,
     IndexRangeScan,
-    InputProbe,
     IteratorScan,
     Limit,
     MapPatches,
@@ -34,11 +38,11 @@ from repro.core.operators import (
     NestedLoopJoin,
     Operator,
     OrderBy,
-    ProfiledOperator,
     Project,
     RTreeOverlapJoin,
     Select,
     SwapSides,
+    instrument,
 )
 from repro.core.patch import Patch
 from repro.core.profile import RuntimeProfile
@@ -94,8 +98,12 @@ def twin(patch):
     return [patch, patch] if score % 3 == 0 else patch
 
 
-def _entry():
-    return RuntimeProfile().operator("probe", est_rows=1.0)
+def instrumented(operator, *, as_input=False):
+    entry = RuntimeProfile().operator("probe", est_rows=1.0)
+    if as_input:
+        instrument(operator, entry, as_input=True)
+    instrument(operator, entry)
+    return operator
 
 
 #: class name -> builder(collection, spy) returning one or more fresh
@@ -173,11 +181,18 @@ FIXTURES = {
             )
         )
     ),
-    "ProfiledOperator": lambda c, spy: ProfiledOperator(
-        spy(CollectionScan(c)), _entry()
-    ),
-    "InputProbe": lambda c, spy: InputProbe(spy(CollectionScan(c)), _entry()),
     "PrefetchBatches": lambda c, spy: PrefetchBatches(spy(CollectionScan(c)), depth=2),
+}
+
+#: the instrumented form of one scan and one breaker: same rows, same
+#: batch bounds, and the counts land on the entry
+INSTRUMENTED = {
+    "instrumented-scan": lambda c, spy: instrumented(
+        IndexRangeScan(c, "score", 2.0, 15.0), as_input=True
+    ),
+    "instrumented-breaker": lambda c, spy: instrumented(
+        OrderBy(spy(CollectionScan(c)), lambda p: p["score"], reverse=True)
+    ),
 }
 
 #: bases that only share code between concrete operators
@@ -201,15 +216,16 @@ def signature(rows):
     return [tuple(patch.patch_id for patch in row) for row in rows]
 
 
-def build(cls, collection):
-    """Fresh operator variants of ``cls`` plus the spies on their children."""
+def build(name, collection):
+    """Fresh operator variants of fixture ``name`` plus the spies on
+    their children."""
     spies = []
 
     def spy(child):
         spies.append(SpyChild(child))
         return spies[-1]
 
-    built = FIXTURES[cls.__name__](collection, spy)
+    built = {**FIXTURES, **INSTRUMENTED}[name](collection, spy)
     return (built if isinstance(built, list) else [built]), spies
 
 
@@ -218,7 +234,7 @@ def test_every_engine_operator_is_covered():
     assert names - ABSTRACT == set(FIXTURES), (
         "every Operator subclass under src/ needs a fixture in FIXTURES"
     )
-    assert len(names) >= 21
+    assert len(names) >= 19
 
 
 @pytest.mark.parametrize("cls", OPERATOR_CLASSES, ids=lambda cls: cls.__name__)
@@ -232,13 +248,13 @@ def test_iter_batches_is_the_only_abstract_method():
 
 @pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize(
-    "cls",
-    [cls for cls in OPERATOR_CLASSES if cls.__name__ not in ABSTRACT],
-    ids=lambda cls: cls.__name__,
+    "name",
+    [cls.__name__ for cls in OPERATOR_CLASSES if cls.__name__ not in ABSTRACT]
+    + list(INSTRUMENTED),
 )
-def test_rows_are_the_flattened_batches(cls, size, collection):
-    batched, spies = build(cls, collection)
-    rowwise, _ = build(cls, collection)  # fresh: one-shot scans drain once
+def test_rows_are_the_flattened_batches(name, size, collection):
+    batched, spies = build(name, collection)
+    rowwise, _ = build(name, collection)  # fresh: one-shot scans drain once
     for batched_op, row_op in zip(batched, rowwise):
         batches = list(batched_op.iter_batches(size))
         assert batches, "fixture must produce rows"
@@ -246,6 +262,12 @@ def test_rows_are_the_flattened_batches(cls, size, collection):
         flat = [row for batch in batches for row in batch]
         assert all(len(row) == batched_op.arity for row in flat)
         assert signature(list(row_op)) == signature(flat)
+        entry = batched_op.entry
+        if entry is not None:  # instrumented: counted, not changed
+            assert (entry.rows_out, entry.batches) == (len(flat), len(batches))
+            assert entry.exhausted
+            if name == "instrumented-scan":
+                assert entry.rows_in == entry.index_probes == len(flat)
     for spied in spies:
         assert spied.requested, "child was never pulled through iter_batches"
         assert all(requested <= size for requested in spied.requested)

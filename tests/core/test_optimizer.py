@@ -244,7 +244,7 @@ class TestStatisticsDrivenPlanning:
             collection = populate(catalog, n=120, person_every=3)
             optimizer = Optimizer(catalog)
             expr = Attr("label") == "person"
-            rows, source = optimizer.estimate_filter_rows("c", expr)
+            rows, source = optimizer.estimator().filter_rows("c", expr)
             actual = sum(
                 1 for patch in collection.scan() if expr.evaluate(patch)
             )
@@ -268,7 +268,7 @@ class TestStatisticsDrivenPlanning:
             for patch in collection.scan():
                 canned.observe(patch)
             optimizer = Optimizer(catalog, statistics=Canned(canned))
-            rows, source = optimizer.estimate_filter_rows(
+            rows, source = optimizer.estimator().filter_rows(
                 "c", Attr("label") == "person"
             )
             assert source == "mcv"

@@ -780,14 +780,14 @@ class TestInContainsSemantics:
 
     def test_in_selectivity_from_mcvs(self, db):
         expr = Attr("label").isin(["vehicle", "person"])
-        estimated, source = db.optimizer.estimate_filter_rows("c", expr)
+        estimated, source = db.optimizer.estimator().filter_rows("c", expr)
         actual = db.scan("c", load_data=False).filter(expr).count()
         assert source == "mcv"
         assert estimated == pytest.approx(actual, rel=0.35)
-        one, source_one = db.optimizer.estimate_filter_rows(
+        one, source_one = db.optimizer.estimator().filter_rows(
             "c", Attr("label").isin(["vehicle"])
         )
-        eq, _ = db.optimizer.estimate_filter_rows(
+        eq, _ = db.optimizer.estimator().filter_rows(
             "c", Attr("label") == "vehicle"
         )
         assert one == pytest.approx(eq)
@@ -808,10 +808,10 @@ class TestInContainsSemantics:
         assert ranged.selectivity == pytest.approx(3 * EQ_SELECTIVITY)
 
     def test_in_range_operand_uses_statistics(self, db):
-        a, src_a = db.optimizer.estimate_filter_rows(
+        a, src_a = db.optimizer.estimator().filter_rows(
             "c", Comparison("frameno", "in", range(3))
         )
-        b, src_b = db.optimizer.estimate_filter_rows(
+        b, src_b = db.optimizer.estimator().filter_rows(
             "c", Comparison("frameno", "in", (0, 1, 2))
         )
         assert (a, src_a) == (b, src_b)
@@ -819,7 +819,7 @@ class TestInContainsSemantics:
     def test_in_string_operand_not_estimated_per_char(self, db):
         # the statistics path must not explode a string into characters
         # (or consume a one-shot iterator the evaluator still needs)
-        _, source = db.optimizer.estimate_filter_rows(
+        _, source = db.optimizer.estimator().filter_rows(
             "c", Comparison("label", "in", "vehicle")
         )
         assert source == "fallback-constant"

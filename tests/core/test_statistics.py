@@ -339,14 +339,14 @@ class TestPersistence:
             db.materialize(_make_patches(30), "c")
             db.catalog.drop_statistics("c")
             assert db.statistics("c") is None
-            rows, source = db.optimizer.estimate_filter_rows(
+            rows, source = db.optimizer.estimator().filter_rows(
                 "c", Attr("label") == "vehicle"
             )
             assert source == SOURCE_FALLBACK
             assert rows == pytest.approx(30 * EQ_SELECTIVITY)
             # and a rebuild brings the estimates back
             db.rebuild_statistics("c")
-            rows, source = db.optimizer.estimate_filter_rows(
+            rows, source = db.optimizer.estimator().filter_rows(
                 "c", Attr("label") == "vehicle"
             )
             assert source == SOURCE_MCV
@@ -370,7 +370,7 @@ class TestPersistence:
             assert catalog.statistics_for("c") is None
             from repro.core.optimizer import Optimizer
 
-            rows, source = Optimizer(catalog).estimate_filter_rows(
+            rows, source = Optimizer(catalog).estimator().filter_rows(
                 "c", Attr("label") == "vehicle"
             )
             assert source == SOURCE_FALLBACK

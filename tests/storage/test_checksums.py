@@ -22,7 +22,7 @@ from repro.core.patch import Patch
 from repro.errors import CorruptionError, StorageError
 from repro.storage.faultfs import FileOps
 from repro.storage.kvstore import serialization
-from repro.storage.kvstore.heap import BlobHeap, BlobRef
+from repro.storage.kvstore.heap import BlobHeap
 from repro.storage.kvstore.pager import Pager
 
 
@@ -209,10 +209,10 @@ def test_corrupt_stats_snapshot_rebuilds_from_scan(tmp_path):
         assert "stats_rebuilt" in kinds
 
 
-# -- format back-compat: v1 files open with checksums off ---------------
+# -- the never-deployed v1 formats are gone: their magics are rejected -----
 
 
-def test_v1_pager_file_opens_without_checksums(tmp_path):
+def test_v1_pager_magic_is_rejected(tmp_path):
     path = tmp_path / "v1.db"
     page_size = 4096
     meta = serialization.dumps({"hello": 1})
@@ -223,39 +223,23 @@ def test_v1_pager_file_opens_without_checksums(tmp_path):
     with open(path, "wb") as file:
         file.write(header)
         file.write(meta_image.ljust(page_size, b"\x00"))
-    pager = Pager(path)
-    assert pager.checksums is False
-    assert pager.capacity == page_size  # no trailer reserved
-    assert pager.get_meta() == {"hello": 1}
-    # round-trips keep working (no CRC stamped into v1 pages)
-    page = pager.allocate()
-    pager.write(page, b"payload" * 10)
-    pager.sync()
-    pager.close()
-    pager = Pager(path)
-    assert bytes(pager.read(page))[:7] == b"payload"
-    pager.close()
+    with pytest.raises(CorruptionError, match="bad magic b'DLPG0001'") as caught:
+        Pager(path)
+    assert caught.value.file == str(path)
+    assert caught.value.offset == 0
 
 
-def test_v1_heap_file_opens_without_checksums(tmp_path):
+def test_v1_heap_magic_is_rejected(tmp_path):
     path = tmp_path / "v1.heap"
     payload = b"legacy blob"
     with open(path, "wb") as file:
         file.write(b"DLHP0001".ljust(16, b"\x00"))
         file.write(struct.pack(">QB", len(payload), 0))
         file.write(payload)
-    heap = BlobHeap(path)
-    assert heap.checksums is False
-    ref = BlobRef(offset=16, length=len(payload))
-    assert heap.get(ref) == payload
-    assert heap.multi_get([ref, ref]) == [payload, payload]
-    # appends continue in the v1 record format
-    ref2 = heap.put(b"appended")
-    assert heap.get(ref2) == b"appended"
-    heap.close()
-    heap = BlobHeap(path)
-    assert heap.get(ref2) == b"appended"
-    heap.close()
+    with pytest.raises(CorruptionError, match="bad heap magic b'DLHP0001'") as caught:
+        BlobHeap(path)
+    assert caught.value.file == str(path)
+    assert caught.value.offset == 0
 
 
 def test_v2_page_crc_actually_on_disk(tmp_path):
