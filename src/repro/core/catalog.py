@@ -24,6 +24,25 @@ dims). Statistics, HNSW graphs and the other derived structures persist
 through one :class:`~repro.storage.snapshot_store.SnapshotStore` as a
 base plus deltas, so they survive sessions and a commit writes what
 changed, not what exists.
+
+Everything the catalog must find again by name is one small entry in
+the pager's keyed :class:`~repro.storage.kvstore.directory.Directory`
+(one B+ tree in ``catalog.db``, so it grows with the physical design):
+
+====================================  ==================================
+``("collection", name)``              ``[version, fresh_version]``
+``("index", collection, attr, kind)``  ``{"multi_value", "params"}``
+``("snapshot", *key)``                chain ref of a derived structure
+                                      (statistics, HNSW graphs, the
+                                      logs, view definitions, the video
+                                      registry, the recovery history)
+``("segment", "segment", name)``      chain ref of a segment descriptor
+``("btree", name)`` / ``("hash", …)``  header of every other paged
+                                      structure (written by the pager)
+====================================  ==================================
+
+Each is written when that object changes and at no other time; the meta
+page keeps only the directory's root and ``catalog:next_id``.
 """
 
 from __future__ import annotations
@@ -70,7 +89,7 @@ _HNSW_PARAM_KEYS = {
     "seed": "seed",
 }
 
-#: bound on the persisted recovery-event history in catalog meta
+#: bound on the persisted recovery-event history
 RECOVERY_LOG_MAX = 64
 
 #: how often a metadata read may quarantine + rebuild its segment before
@@ -82,9 +101,18 @@ _MAX_SEGMENT_REBUILDS = 3
 class MaterializedCollection:
     """One named, persisted collection of patches."""
 
-    def __init__(self, catalog: "Catalog", name: str) -> None:
+    def __init__(
+        self, catalog: "Catalog", name: str, version: int = 0, fresh_version: int = 0
+    ) -> None:
         self.catalog = catalog
         self.name = name
+        #: monotone mutation counter (bumped per add) — the lineage
+        #: version materialized views record for their bases — and its
+        #: value at the last full materialization / statistics rebuild,
+        #: the baseline the staleness flag measures from; persisted
+        #: together as this collection's one directory record
+        self.version = version
+        self.fresh_version = fresh_version
         # trees are process-wide singletons per name (the catalog registry)
         # because lazily-written pages are only visible through the owning
         # tree object until the next sync
@@ -397,6 +425,15 @@ class MaterializedCollection:
 class Catalog:
     """Database directory: patch heap, collections, indexes, lineage.
 
+    Where state lives: ``catalog.db``'s meta page holds a fixed-size
+    root — the root of the pager's keyed directory plus
+    ``catalog:next_id`` — and :attr:`directory` holds everything else
+    as one small entry per object (see the module docstring for the
+    key table): a collection's two version counters, an index's
+    registration with its flag and knobs, a snapshot chain's ref, a
+    tree's header. An entry is written when its object changes, so a
+    commit costs what changed however large the physical design is.
+
     Crash consistency: all four storage files (``catalog.db``,
     ``patches.heap``, ``metadata.seg``, and ``journal.log``) mutate as
     one atomic group. The first mutating write after a commit opens a
@@ -413,9 +450,10 @@ class Catalog:
     ``to_value()`` *base* the first time, then only what the object's
     ``take_delta()`` reports (the rows observed, the graph nodes and
     adjacency lists touched) chained behind it, until the chain has
-    grown to the base's size and a fresh base replaces it. The meta
-    page holds two blob refs per structure (``catalog:snapshots``). The
-    records are heap appends inside the journal transaction, so a crash
+    grown to the base's size and a fresh base replaces it. The
+    directory holds one entry of two blob refs per structure, written
+    by the store when that chain moves. The records are heap appends
+    inside the journal transaction, so a crash
     rolls them back with everything else; a record that fails its
     checksum or its owner's validation quarantines the chain and the
     structure is rebuilt from the collection (statistics, graphs) or
@@ -458,9 +496,8 @@ class Catalog:
         )
         #: recovery/repair events observed by THIS catalog instance —
         #: what db.recovery_report() shows; also appended to the bounded
-        #: history persisted in catalog meta
+        #: persisted history
         self.recovery_events: list[dict] = []
-        self._recovery_log: list[dict] = []
         #: ``durability="none"`` disables journaling entirely (the
         #: pre-crash-safety behavior; the durability benchmark baseline)
         self._journal: CommitJournal | None = None
@@ -482,6 +519,10 @@ class Catalog:
             fs=fs,
             durability=durability,
         )
+        #: the one home of catalog state: every collection, index, view,
+        #: tree header and snapshot ref is a keyed entry of it (handing
+        #: it out touches no page; its tree opens at the first access)
+        self.directory = self.pager.directory
         self.heap = BlobHeap(
             os.path.join(self.workdir, "patches.heap"),
             metrics=metrics,
@@ -493,6 +534,7 @@ class Catalog:
         #: heap file — metadata-only scans never touch ``patches.heap``
         self.segments = MetadataSegmentStore(
             os.path.join(self.workdir, "metadata.seg"),
+            self.directory.section("segment"),
             metrics=metrics,
             journal=self._journal,
             fs=fs,
@@ -501,66 +543,66 @@ class Catalog:
         )
         if self._journal is not None:
             self._journal.register_begin_provider(self._begin_state)
-        # the empty-meta sanity check must run before ANY meta writer
-        # (LineageStore re-creates its B+ trees into an empty meta dict,
-        # which would mask a torn meta page as a legitimately empty
-        # catalog and silently orphan every collection)
-        if not self.pager.get_meta() and (
-            self.pager.page_count > 2 or self.heap.size_bytes > 16
-        ):
+        # the empty-meta sanity check must run before ANY writer (the
+        # first directory access would plant a fresh directory root in
+        # a zeroed meta page, which would mask a torn meta page as a
+        # legitimately empty catalog and silently orphan every collection)
+        meta = self.pager.get_meta()
+        if not meta and (self.pager.page_count > 2 or self.heap.size_bytes > 16):
             raise CorruptionError(
                 "catalog meta page is empty but the catalog contains data; "
                 "the meta page was torn or zeroed",
                 file=self.pager.path,
                 offset=self.pager._meta_page * self.pager.page_size,
             )
+        #: ``None`` until a commit has written the record: the first
+        #: commit always does, which is what lets the check above tell an
+        #: empty catalog from a lost meta page
+        self._saved_next_id = meta.get("catalog:next_id")
+        self._next_id = self._saved_next_id or 0
         self.lineage = LineageStore(self.pager)
-        self._collections: dict[str, MaterializedCollection] = {}
         #: (collection, attr, kind) -> index object
         self._indexes: dict[tuple[str, str, str], Any] = {}
         self._trees: dict[str, BPlusTree] = {}
-        meta = self.pager.get_meta()
-        self._recovery_log = [dict(e) for e in meta.get("catalog:recovery_log", [])]
+        #: base + delta chains of every derived structure persisted in
+        #: the patch heap: ("stats", collection), ("hnsw", collection,
+        #: attr), ("view", name), ("plan_log",), ("slow_log",),
+        #: ("videos",), ("recovery_log",)
+        self.snapshots = SnapshotStore(
+            self.heap, self.directory.section("snapshot"), metrics=metrics
+        )
+        #: snapshot key -> object the next commit barrier must save
+        self._unsaved: dict[tuple, Any] = {}
+        #: bounded recovery-event history across opens (saved in full on
+        #: its own chain: 64 events outgrow a directory entry)
+        self._recovery_log: list[dict] = []
+        self._recovery_log[:0] = (
+            self._load_derived(("recovery_log",), list, "recovery_log_reset") or []
+        )
         if replay_report is not None:
             self._metric_replays.inc()
             self._record_recovery_event("journal_replay", **replay_report)
-        self._next_id = meta.get("catalog:next_id", 0)
-        for name in meta.get("catalog:collections", []):
-            self._collections[name] = MaterializedCollection(self, name)
-        self._registered: list[tuple[str, str, str]] = [
-            tuple(entry) for entry in meta.get("catalog:indexes", [])
-        ]
-        self._multi_value: set[tuple[str, str, str]] = {
-            tuple(entry) for entry in meta.get("catalog:multi_value", [])
+        self._collection_records = self.directory.section("collection")
+        self._collections: dict[str, MaterializedCollection] = {
+            name: MaterializedCollection(self, name, *record)
+            for (name,), record in self._collection_records.items()
         }
-        #: (collection, attr, kind) -> build knobs (hnsw m/ef/...)
-        self._index_params: dict[tuple[str, str, str], dict] = {
-            tuple(entry[0]): dict(entry[1])
-            for entry in meta.get("catalog:index_params", [])
-        }
-        #: base + delta chains of every derived structure persisted in
-        #: the patch heap: ("stats", collection), ("hnsw", collection,
-        #: attr), ("plan_log",), ("slow_log",), ("videos",)
-        self.snapshots = SnapshotStore(self.heap, metrics=metrics)
-        self.snapshots.attach(meta.get("catalog:snapshots", {}))
-        #: snapshot key -> object the next commit barrier must save
-        self._unsaved: dict[tuple, Any] = {}
+        #: collections whose directory record the next commit rewrites
+        self._dirty_collections: set[str] = set()
+        self._index_records = self.directory.section("index")
+        #: (collection, attr, kind) -> ``{"multi_value": bool, "params":
+        #: build knobs}`` of every registered index; each is written
+        #: through to its directory record when it is created or dropped
+        self._registered: dict[tuple[str, str, str], dict] = dict(
+            self._index_records.items()
+        )
         #: collection name -> in-memory statistics (lazily loaded)
         self._stats: dict[str, CollectionStatistics] = {}
-        #: collection name -> monotone mutation counter (bumped per add);
-        #: the lineage version materialized views record for their bases
-        self._versions: dict[str, int] = dict(meta.get("catalog:versions", {}))
-        #: collection name -> version at the last full materialization /
-        #: statistics rebuild — the baseline the staleness flag measures from
-        self._fresh_versions: dict[str, int] = dict(
-            meta.get("catalog:fresh_versions", {})
-        )
         #: lazily-loaded plan-quality log (estimate-vs-actual history and
         #: per-predicate feedback corrections from EXPLAIN ANALYZE runs)
         self._plan_log: PlanQualityLog | None = None
         #: lazily-loaded slow-query log — same lifecycle
         self._slow_log: SlowQueryLog | None = None
-        self.segments.attach(meta.get("catalog:meta_segment", {}))
 
     # -- lifecycle ------------------------------------------------------
 
@@ -575,8 +617,31 @@ class Catalog:
     def sync(self) -> None:
         """Flush everything durably, then commit: the catalog's
         transaction barrier. Data files are synced *before* the journal
-        truncates — the truncation is the commit point."""
-        self._save_meta()
+        truncates — the truncation is the commit point.
+
+        The order inside is the one rule the directory imposes: its
+        pages may be written only after everything that reports into it
+        has — the snapshot stores their chain refs, the catalog its own
+        records, then (inside :meth:`Pager.sync`) every tree and hash
+        file its header, and the directory's own tree last."""
+        for key, log in (("plan_log", self._plan_log), ("slow_log", self._slow_log)):
+            if log is not None and log.dirty:
+                self.snapshots.save((key,), log)
+                log.dirty = False
+        for key in sorted(self._unsaved):
+            self.snapshots.save(key, self._unsaved[key])
+        self._unsaved.clear()
+        self.segments.flush()
+        for name in sorted(self._dirty_collections):
+            collection = self._collections[name]
+            self._collection_records[(name,)] = [
+                collection.version,
+                collection.fresh_version,
+            ]
+        self._dirty_collections.clear()
+        if self._next_id != self._saved_next_id:
+            self.pager.set_meta({"catalog:next_id": self._next_id})
+            self._saved_next_id = self._next_id
         self.pager.sync()
         self.heap.sync()
         self.segments.sync()
@@ -594,31 +659,6 @@ class Catalog:
         SnapshotStore` client) to be saved under ``key`` by the next
         commit barrier."""
         self._unsaved[key] = obj
-
-    def _save_meta(self) -> None:
-        for key, log in (("plan_log", self._plan_log), ("slow_log", self._slow_log)):
-            if log is not None and log.dirty:
-                self.snapshots.save((key,), log)
-                log.dirty = False
-        for key in sorted(self._unsaved):
-            self.snapshots.save(key, self._unsaved[key])
-        self._unsaved.clear()
-        meta = self.pager.get_meta()
-        meta["catalog:next_id"] = self._next_id
-        meta["catalog:meta_segment"] = self.segments.flush()
-        meta["catalog:collections"] = sorted(self._collections)
-        meta["catalog:indexes"] = [list(key) for key in self._registered]
-        meta["catalog:multi_value"] = [list(key) for key in sorted(self._multi_value)]
-        meta["catalog:index_params"] = [
-            [list(key), dict(params)]
-            for key, params in sorted(self._index_params.items())
-        ]
-        meta["catalog:snapshots"] = self.snapshots.refs()
-        meta["catalog:versions"] = dict(self._versions)
-        meta["catalog:fresh_versions"] = dict(self._fresh_versions)
-        if self._recovery_log:
-            meta["catalog:recovery_log"] = [dict(e) for e in self._recovery_log]
-        self.pager.set_meta(meta)
 
     # -- recovery & repair observability ---------------------------------
 
@@ -646,6 +686,7 @@ class Catalog:
         self.recovery_events.append(event)
         self._recovery_log.append(event)
         del self._recovery_log[:-RECOVERY_LOG_MAX]
+        self.persist(("recovery_log",), self._recovery_log)
 
     def recovery_report(self) -> dict:
         """What storage repair has happened: ``events`` covers this
@@ -758,15 +799,10 @@ class Catalog:
             collection._ref_map = None
             # the columnar segment restarts clean alongside the tree
             self.segments.drop(name)
-            # indexes and statistics over the old contents are stale
-            self._registered = [
-                key for key in self._registered if key[0] != name
-            ]
-            for key in [k for k in self._indexes if k[0] == name]:
-                del self._indexes[key]
-            for key in [k for k in self._index_params if k[0] == name]:
-                del self._index_params[key]
-                self._forget(("hnsw", *key[:2]))
+            # indexes and statistics over the old contents are stale:
+            # registrations, flags, on-disk structures and graphs all go
+            for key in [k for k in self._registered if k[0] == name]:
+                self._drop_index(key)
             self.drop_statistics(name)
             # replacing is a mutation even when zero rows follow (an
             # emptied base must still invalidate dependent views)
@@ -775,12 +811,13 @@ class Catalog:
             collection = MaterializedCollection(self, name)
             self._collections[name] = collection
         collection.schema = schema
+        self._dirty_collections.add(name)
         for patch in patches:
             collection.add(patch)
         # the collection is now a complete snapshot: later add()s count as
         # mutations against this baseline (statistics staleness flag, view
         # invalidation)
-        self._fresh_versions[name] = self._versions.get(name, 0)
+        collection.fresh_version = collection.version
         # commit barrier: the whole materialization lands atomically
         self.sync()
         return collection
@@ -803,17 +840,18 @@ class Catalog:
         :meth:`MaterializedCollection.add`. Materialized views record
         their bases' versions at build time; a mismatch later means the
         view no longer reflects its base."""
-        return self._versions.get(collection_name, 0)
+        collection = self._collections.get(collection_name)
+        return 0 if collection is None else collection.version
 
     def mutations_since_fresh(self, collection_name: str) -> int:
         """Adds since the collection was last fully materialized or had
         its statistics rebuilt — the statistics staleness counter."""
-        return self.collection_version(collection_name) - self._fresh_versions.get(
-            collection_name, 0
-        )
+        collection = self.collection(collection_name)
+        return collection.version - collection.fresh_version
 
     def _bump_version(self, collection_name: str) -> None:
-        self._versions[collection_name] = self._versions.get(collection_name, 0) + 1
+        self._collections[collection_name].version += 1
+        self._dirty_collections.add(collection_name)
 
     # -- plan quality (EXPLAIN ANALYZE feedback) --------------------------
 
@@ -829,7 +867,7 @@ class Catalog:
             ),
         )
 
-    def _forget(self, key: tuple) -> None:
+    def forget(self, key: tuple) -> None:
         """Drop a structure's chain and any save queued for it."""
         self.snapshots.drop(key)
         self._unsaved.pop(key, None)
@@ -838,7 +876,7 @@ class Catalog:
         """The catalog's plan-quality log: estimate-vs-actual history per
         parameterized plan fingerprint plus per-predicate observed
         selectivities. Lazily loaded from its snapshot; saved back in
-        full (when dirty) by :meth:`_save_meta`. A corrupt snapshot is
+        full (when dirty) by :meth:`sync`. A corrupt snapshot is
         dropped (it is advisory history), recorded as a recovery event,
         and the log restarts empty."""
         if self._plan_log is None:
@@ -878,7 +916,7 @@ class Catalog:
         """
         key = ("stats", collection_name)
         stats = self._stats.get(collection_name)
-        if stats is None and key in self.snapshots:
+        if stats is None and key in self.snapshots.refs:
             stats = self._load_derived(
                 key,
                 CollectionStatistics.from_value,
@@ -905,16 +943,15 @@ class Catalog:
         self.persist(("stats", collection_name), stats)
         # a full-scan rebuild re-baselines staleness: the profile now
         # reflects every row
-        self._fresh_versions[collection_name] = self.collection_version(
-            collection_name
-        )
+        collection.fresh_version = collection.version
+        self._dirty_collections.add(collection_name)
         return stats
 
     def drop_statistics(self, collection_name: str) -> None:
         """Forget a collection's statistics (planner falls back to
         constants until they are rebuilt)."""
         self._stats.pop(collection_name, None)
-        self._forget(("stats", collection_name))
+        self.forget(("stats", collection_name))
 
     def _record_statistics(self, collection_name: str, patch: Patch) -> None:
         stats = self.statistics_for(collection_name)
@@ -972,24 +1009,23 @@ class Catalog:
             raise IndexError_(
                 f"index params are only valid for hnsw indexes, not {kind!r}"
             )
-        collection = self.collection(collection_name)
         key = (collection_name, attr, kind)
         if kind in ("hash", "btree") and key in self._registered:
-            if multi_value != (key in self._multi_value):
+            registered = self._registered[key]["multi_value"]
+            if multi_value != registered:
                 raise IndexError_(
                     f"{kind} index on {collection_name}.{attr} already exists "
-                    f"with multi_value={key in self._multi_value}; it cannot "
+                    f"with multi_value={registered}; it cannot "
                     f"be re-created with multi_value={multi_value}"
                 )
             return self.get_index(collection_name, attr, kind)
-        if kind == "hnsw":
-            self._index_params[key] = _normalize_hnsw_params(params)
-        index = self._build_index(collection, attr, kind, feature_fn, multi_value)
+        record = {
+            "multi_value": multi_value,
+            "params": _normalize_hnsw_params(params) if kind == "hnsw" else {},
+        }
+        index = self._build_index(key, record, feature_fn)
         self._indexes[key] = index
-        if key not in self._registered:
-            self._registered.append(key)
-        if multi_value:
-            self._multi_value.add(key)
+        self._registered[key] = self._index_records[key] = record
         if kind == "hnsw":
             # the graph snapshot rides the same commit as its registration
             self.persist(("hnsw", collection_name, attr), index)
@@ -1001,42 +1037,39 @@ class Catalog:
         key = (collection_name, attr, kind)
         if key in self._indexes:
             return self._indexes[key]
-        if key in self._registered:
-            if kind in ("hash", "btree"):
-                # persistent structures reattach to their on-disk state;
-                # repopulating them would double every entry
-                name = f"{collection_name}.{attr}.{kind}"
-                index = (
-                    HashIndex(self.pager, name)
-                    if kind == "hash"
-                    else BTreeIndex(self.pager, name)
-                )
-            elif kind == "hnsw":
-                # the graph reloads from its snapshot chain; a corrupt
-                # chain is quarantined and the graph rebuilt from the
-                # collection (the source of truth), like statistics
-                index = self._load_derived(
-                    ("hnsw", collection_name, attr),
-                    lambda value: HNSWIndex.from_value(value, metrics=self.metrics),
-                    "hnsw_rebuilt",
-                    collection=collection_name,
-                    attr=attr,
-                )
-                if index is None:
-                    collection = self.collection(collection_name)
-                    index = self._build_index(collection, attr, kind, None)
-                    self.persist(("hnsw", collection_name, attr), index)
-            else:
-                # multi-dimensional indexes are memory-resident: rebuild
-                collection = self.collection(collection_name)
-                index = self._build_index(
-                    collection, attr, kind, None, key in self._multi_value
-                )
-            self._indexes[key] = index
-            return index
-        raise IndexError_(
-            f"no {kind} index on {collection_name}.{attr}; create_index first"
-        )
+        if key not in self._registered:
+            raise IndexError_(
+                f"no {kind} index on {collection_name}.{attr}; create_index first"
+            )
+        index = None
+        if kind in ("hash", "btree"):
+            # persistent structures reattach to their on-disk state;
+            # repopulating them would double every entry
+            index = self._persistent_index(key)
+        elif kind == "hnsw":
+            # the graph reloads from its snapshot chain; a corrupt
+            # chain is quarantined and the graph rebuilt from the
+            # collection (the source of truth), like statistics
+            index = self._load_derived(
+                ("hnsw", collection_name, attr),
+                lambda value: HNSWIndex.from_value(value, metrics=self.metrics),
+                "hnsw_rebuilt",
+                collection=collection_name,
+                attr=attr,
+            )
+        if index is None:
+            # memory-resident kinds (and a quarantined graph) rebuild
+            index = self._build_index(key, self._registered[key])
+            if kind == "hnsw":
+                self.persist(("hnsw", collection_name, attr), index)
+        self._indexes[key] = index
+        return index
+
+    def _persistent_index(self, key: tuple[str, str, str]):
+        """The hash file / B+ tree of a hash/btree index: created empty
+        when new, reattached to its on-disk state otherwise."""
+        cls = HashIndex if key[2] == "hash" else BTreeIndex
+        return cls(self.pager, ".".join(key))
 
     def has_index(self, collection_name: str, attr: str, kind: str) -> bool:
         return (collection_name, attr, kind) in self._registered
@@ -1047,29 +1080,40 @@ class Catalog:
     def index_params(self, collection_name: str, attr: str, kind: str) -> dict:
         """Build knobs recorded at CREATE INDEX time (empty for kinds
         without knobs)."""
-        return dict(self._index_params.get((collection_name, attr, kind), {}))
+        record = self._registered.get((collection_name, attr, kind))
+        return {} if record is None else dict(record["params"])
+
+    def _drop_index(self, key: tuple[str, str, str]) -> None:
+        """Unregister one index and delete everything kept for it: the
+        directory record (with its multi-value flag and build knobs),
+        the on-disk hash file / B+ tree and its header, the HNSW graph's
+        snapshot chain."""
+        collection_name, attr, kind = key
+        if kind in ("hash", "btree"):
+            # reattached if not resident: the structure knows its header
+            self.get_index(*key).drop()
+        elif kind == "hnsw":
+            self.forget(("hnsw", collection_name, attr))
+        self._indexes.pop(key, None)
+        del self._registered[key]
+        del self._index_records[key]
 
     def _build_index(
         self,
-        collection: MaterializedCollection,
-        attr: str,
-        kind: str,
-        feature_fn: Callable[[Patch], np.ndarray] | None,
-        multi_value: bool = False,
+        key: tuple[str, str, str],
+        record: dict,
+        feature_fn: Callable[[Patch], np.ndarray] | None = None,
     ):
-        name = f"{collection.name}.{attr}.{kind}"
+        collection_name, attr, kind = key
+        collection = self.collection(collection_name)
         if kind in ("hash", "btree"):
-            index = (
-                HashIndex(self.pager, name)
-                if kind == "hash"
-                else BTreeIndex(self.pager, name)
-            )
+            index = self._persistent_index(key)
             for patch in collection.scan():
                 value = patch.metadata.get(attr)
                 if value is None:
                     continue
-                for key in _index_keys(value, multi_value):
-                    index.insert(key, patch.patch_id)
+                for index_key in _index_keys(value, record["multi_value"]):
+                    index.insert(index_key, patch.patch_id)
             return index
         if kind == "rtree":
             index = RTree()
@@ -1093,9 +1137,8 @@ class Catalog:
                 f"{attr!r} to index"
             )
         if kind == "hnsw":
-            params = self._index_params.get((collection.name, attr, kind), {})
             return HNSWIndex.build(
-                np.stack(vectors), ids, metrics=self.metrics, **params
+                np.stack(vectors), ids, metrics=self.metrics, **record["params"]
             )
         return BallTree(np.stack(vectors), ids=ids)
 
@@ -1107,7 +1150,7 @@ class Catalog:
             if kind in ("hash", "btree"):
                 value = patch.metadata.get(attr)
                 if value is not None:
-                    multi = (name, attr, kind) in self._multi_value
+                    multi = self._registered[name, attr, kind]["multi_value"]
                     for key in _index_keys(value, multi):
                         index.insert(key, patch.patch_id)
             elif kind == "rtree":

@@ -41,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import threading
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from repro.core import logical
@@ -58,8 +58,8 @@ from repro.errors import QueryError, StorageError
 from repro.storage.kvstore import BlobRef
 from repro.storage.kvstore import serialization
 
-#: catalog meta key holding the persisted view registry
-VIEWS_META_KEY = "matview:views"
+#: snapshot-store structure kind of a persisted view definition
+VIEW = "view"
 
 
 def view_fingerprint(plan: logical.LogicalPlan) -> str:
@@ -89,32 +89,21 @@ class ViewDefinition:
     portable: bool
 
     def to_value(self) -> dict:
-        return {
-            "name": self.name,
-            "fingerprint": self.fingerprint,
-            "plan_text": self.plan_text,
-            "bases": dict(self.bases),
-            "row_count": self.row_count,
-            "portable": self.portable,
-        }
+        return asdict(self)
 
     @classmethod
     def from_value(cls, value: dict) -> "ViewDefinition":
-        return cls(
-            name=value["name"],
-            fingerprint=value["fingerprint"],
-            plan_text=value["plan_text"],
-            bases=dict(value["bases"]),
-            row_count=value["row_count"],
-            portable=value["portable"],
-        )
+        return cls(**value)
 
 
 class MaterializationManager:
     """Registry of materialized views plus the planner's view-matching hook.
 
-    One per session, sharing the session's catalog and optimizer. View
-    definitions persist through the catalog's meta page; the defining
+    One per session, sharing the session's catalog and optimizer. Each
+    view definition persists on its own chain of the catalog's snapshot
+    store (``("view", name)`` — one directory entry per view, and a
+    ``plan_text`` of any length), written when that view is registered;
+    the defining
     *plans* (which contain callables) additionally stay live in-process
     so :meth:`refresh_view` can re-run them — after a reopen, refresh
     needs the defining query passed back in (verified by fingerprint).
@@ -145,10 +134,10 @@ class MaterializationManager:
         #: engine configuration for view builds/refreshes (the session's
         #: context, so a workers=4 session rebuilds views in parallel too)
         self.execution = execution if execution is not None else ExecutionContext()
-        meta = catalog.pager.get_meta()
+        # not derived state: a corrupt definition raises, it is not reset
         self._defs: dict[str, ViewDefinition] = {
-            name: ViewDefinition.from_value(value)
-            for name, value in meta.get(VIEWS_META_KEY, {}).items()
+            key[1]: catalog.snapshots.load(key, ViewDefinition.from_value)
+            for key in catalog.snapshots.keys(VIEW)
         }
         #: live defining plans (session-scoped; also keeps their callables
         #: alive so session-local identities cannot be reused)
@@ -166,17 +155,6 @@ class MaterializationManager:
             raise QueryError(
                 f"no materialized view {name!r}; have {sorted(self._defs)}"
             ) from None
-
-    def _persist(self) -> None:
-        meta = self.catalog.pager.get_meta()
-        meta[VIEWS_META_KEY] = {
-            name: definition.to_value()
-            for name, definition in sorted(self._defs.items())
-        }
-        self.catalog.pager.set_meta(meta)
-        # Commit here so a view definition can never be lost between the
-        # materialize of its backing collection and the next sync barrier.
-        self.catalog.sync()
 
     # -- materialization ------------------------------------------------
 
@@ -250,7 +228,8 @@ class MaterializationManager:
         self.view(name)  # raise on unknown names
         del self._defs[name]
         self._plans.pop(name, None)
-        self._persist()
+        self.catalog.forget((VIEW, name))
+        self.catalog.sync()
 
     def _register(
         self,
@@ -270,7 +249,10 @@ class MaterializationManager:
             portable=logical.plan_is_portable(plan),
         )
         self._plans[name] = plan
-        self._persist()
+        self.catalog.persist((VIEW, name), self._defs[name])
+        # Commit here so a view definition can never be lost between the
+        # materialize of its backing collection and the next sync barrier.
+        self.catalog.sync()
 
     def _execute(self, plan: logical.LogicalPlan) -> list[Patch]:
         # no view matching while building a view: definitions must always

@@ -221,14 +221,22 @@ _MAKERS: dict[str, Callable[[], Any]] = {
 class Family:
     """A labeled metric: one instrument per distinct label-value tuple."""
 
-    __slots__ = ("name", "kind", "label_names", "_lock", "_children")
+    __slots__ = ("name", "kind", "label_names", "_lock", "_children", "_on_child")
 
-    def __init__(self, name: str, kind: str, label_names: tuple[str, ...]) -> None:
+    def __init__(
+        self,
+        name: str,
+        kind: str,
+        label_names: tuple[str, ...],
+        on_child: Callable[[tuple[str, ...], Any], None],
+    ) -> None:
         self.name = name
         self.kind = kind
         self.label_names = label_names
         self._lock = threading.Lock()
         self._children: dict[tuple[str, ...], Any] = {}
+        #: told ``(label values, instrument)`` once per new child
+        self._on_child = on_child
 
     def labels(self, **label_values: str) -> Any:
         try:
@@ -245,12 +253,11 @@ class Family:
         child = self._children.get(key)
         if child is None:
             with self._lock:
-                child = self._children.setdefault(key, _MAKERS[self.kind]())
+                child = self._children.get(key)
+                if child is None:
+                    child = self._children[key] = _MAKERS[self.kind]()
+                    self._on_child(key, child)
         return child
-
-    def children(self) -> list[tuple[tuple[str, ...], Any]]:
-        with self._lock:
-            return sorted(self._children.items())
 
 
 def _series_name(
@@ -288,6 +295,10 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         #: name -> (kind, help, label_names, instrument-or-family)
         self._metrics: dict[str, tuple[str, str, tuple[str, ...], Any]] = {}
+        #: every series as ``(metric name, label values, kind, help,
+        #: series name, instrument)`` — the series name formatted once,
+        #: when the series appears, so an export is a flat read
+        self._all: list[tuple[str, tuple[str, ...], str, str, str, Any]] = []
 
     # -- instrument factories -------------------------------------------
 
@@ -307,9 +318,16 @@ class MetricsRegistry:
                         f"{known_kind} with labels {known_labels}"
                     )
                 return instrument
-            instrument = (
-                Family(name, kind, labels) if labels else _MAKERS[kind]()
-            )
+
+            def track(values: tuple[str, ...], child: Any) -> None:
+                series = _series_name(name, labels, values)
+                self._all.append((name, values, kind, help, series, child))
+
+            if labels:
+                instrument = Family(name, kind, labels, track)
+            else:
+                instrument = _MAKERS[kind]()
+                track((), instrument)
             self._metrics[name] = (kind, help, labels, instrument)
             return instrument
 
@@ -331,21 +349,12 @@ class MetricsRegistry:
     # -- export ----------------------------------------------------------
 
     def _series(self) -> Iterator[tuple[str, str, str, str, Any]]:
-        """Yield (kind, help, metric name, series name, instrument)."""
-        with self._lock:
-            metrics = sorted(self._metrics.items())
-        for name, (kind, help, label_names, instrument) in metrics:
-            if label_names:
-                for values, child in instrument.children():
-                    yield (
-                        kind,
-                        help,
-                        name,
-                        _series_name(name, label_names, values),
-                        child,
-                    )
-            else:
-                yield kind, help, name, name, instrument
+        """Yield (kind, help, metric name, series name, instrument),
+        ordered by metric name, then label values."""
+        for name, _, kind, help, series, instrument in sorted(
+            self._all, key=lambda entry: entry[:2]
+        ):
+            yield kind, help, name, series, instrument
 
     def snapshot(self) -> dict[str, dict[str, Any]]:
         """A point-in-time copy: plain dicts, safe to hold and diff."""
@@ -364,10 +373,12 @@ class MetricsRegistry:
         return out
 
     def counter_totals(self) -> dict[str, int | float]:
-        """Flat counter values — the cheap before/after diff surface."""
+        """Every counter series by name — a flat read of values (names
+        were formatted when each series appeared), cheap enough to take
+        before and after every query."""
         return {
             series: instrument.value
-            for kind, _, _, series, instrument in self._series()
+            for _, _, kind, _, series, instrument in self._all
             if kind == "counter"
         }
 
@@ -538,7 +549,7 @@ class SlowQueryLog:
         counters: dict[str, int | float] | None = None,
     ) -> bool:
         """Append one entry if ``seconds`` meets the threshold."""
-        if seconds < self.threshold_seconds:
+        if not self.accepts(seconds):
             return False
         entry = {
             "sql": sql,
@@ -552,6 +563,11 @@ class SlowQueryLog:
             del self._entries[: -self.MAX_ENTRIES]
             self.dirty = True
         return True
+
+    def accepts(self, seconds: float) -> bool:
+        """Whether :meth:`record` would keep a query of this duration —
+        lets the caller skip assembling an entry nobody will store."""
+        return seconds >= self.threshold_seconds
 
     def entries(self) -> list[dict[str, Any]]:
         """Copies of the entries, oldest first."""

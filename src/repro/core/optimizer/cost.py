@@ -153,13 +153,6 @@ class CostModel:
         visited = max(float(ef), 1.0) * np.log2(max(n_indexed, 2))
         return visited * self.pair_distance(dim)
 
-    def hnsw_build(self, n: int, dim: int, m: int, ef_construction: int) -> float:
-        """Graph construction: every insert runs one probe at
-        ``ef_construction`` plus ``m`` neighbor re-prunes."""
-        per_insert = self.hnsw_probe(max(n, 2), dim, ef_construction)
-        per_insert += m * self.pair_distance(dim)
-        return n * per_insert
-
     # -- calibration ----------------------------------------------------
 
     def calibrate(self, *, seed: int = 0) -> "CostModel":

@@ -312,14 +312,6 @@ class RuntimeProfile:
             if entry.blocks_q is not None
         ]
 
-    def candidate_q_errors(self) -> list[float]:
-        """Every ANN candidate-estimate Q-error with a recorded estimate."""
-        return [
-            entry.candidates_q
-            for entry in self.entries
-            if entry.candidates_q is not None
-        ]
-
     def lines(self) -> list[str]:
         """Tree-rendered per-operator lines, outermost operator first."""
         out: list[str] = []

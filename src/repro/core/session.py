@@ -114,14 +114,6 @@ from repro.errors import QueryError, StorageError
 from repro.storage.formats import VideoStore, load_patches, open_store
 
 
-class _VideoRegistry(dict):
-    """Ingested videos, ``name -> {"layout", "kwargs"}``: a plain dict
-    the catalog's snapshot store can save (in full — it is tiny)."""
-
-    def to_value(self) -> dict:
-        return dict(self)
-
-
 class DeepLens:
     """A visual data management session over one database directory.
 
@@ -315,11 +307,11 @@ class DeepLens:
         self.udfs = default_registry()
         self._videos: dict[str, VideoStore] = {}
         self._video_dir = os.path.join(self.workdir, "videos")
-        # the registry is a blob behind a ref, not a meta-page entry: it
-        # grows with every ingested video and the meta page is one page.
-        # It is not derived state, so a corrupt snapshot raises
-        registry = self.catalog.snapshots.load(("videos",), _VideoRegistry)
-        self._video_registry = _VideoRegistry() if registry is None else registry
+        # ingested videos, ``name -> {"layout", "kwargs"}``, saved in full
+        # on one snapshot chain (it is tiny). It is not derived state, so
+        # a corrupt snapshot raises
+        registry = self.catalog.snapshots.load(("videos",), dict)
+        self._video_registry: dict = {} if registry is None else registry
 
     # -- lifecycle ------------------------------------------------------
 
@@ -549,8 +541,9 @@ class DeepLens:
     def _query_scope(self, *, sql: str | None = None) -> Iterator[Span | None]:
         """Root-trace scope around one user-level query.
 
-        Opens the ``query`` root span, counts the query, diffs counter
-        totals across the execution, and feeds the slow-query log when
+        Opens the ``query`` root span, counts the query, reads the counter
+        totals before and after the execution, and feeds the slow-query log
+        (with the counters that moved) when
         the root span crosses the threshold. Nested entries (a terminal
         driven by ``sql()``, a view build inside a query) detect the
         already-open trace and become transparent — one root per
@@ -568,21 +561,22 @@ class DeepLens:
             finally:
                 root.finish()
                 after = self.metrics_registry.counter_totals()
-                deltas = {
-                    name: value - before.get(name, 0)
-                    for name, value in after.items()
-                    if value != before.get(name, 0)
-                }
                 self._metric_queries.inc()
                 self._last_trace = root.to_dict()
-                recorded = self.slow_query_log().record(
-                    sql=root.attrs.get("sql"),
-                    fingerprint=root.attrs.get("fingerprint"),
-                    seconds=root.duration_s,
-                    span=self._last_trace,
-                    counters=deltas,
-                )
-                if recorded:
+                log = self.slow_query_log()
+                # the deltas are assembled only for a query the log keeps
+                if log.accepts(root.duration_s):
+                    log.record(
+                        sql=root.attrs.get("sql"),
+                        fingerprint=root.attrs.get("fingerprint"),
+                        seconds=root.duration_s,
+                        span=self._last_trace,
+                        counters={
+                            name: value - before.get(name, 0)
+                            for name, value in after.items()
+                            if value != before.get(name, 0)
+                        },
+                    )
                     self._metric_slow_queries.inc()
 
     # -- UDF registry -----------------------------------------------------

@@ -45,6 +45,10 @@ class HashIndex:
     def __len__(self) -> int:
         return len(self._store)
 
+    def drop(self) -> None:
+        """Delete the on-disk structure (the index must not be used after)."""
+        self._store.drop()
+
     def range(self, lo: Any = None, hi: Any = None) -> Iterator[tuple[Any, int]]:
         raise IndexError_(
             "hash indexes do not support range scans; build a B+ tree or "
@@ -91,6 +95,10 @@ class BTreeIndex:
 
     def __len__(self) -> int:
         return len(self._store)
+
+    def drop(self) -> None:
+        """Delete the on-disk structure (the index must not be used after)."""
+        self._store.drop()
 
 
 class SortedFileIndex:

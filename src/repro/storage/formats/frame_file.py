@@ -54,8 +54,7 @@ class FrameFile(VideoStore):
         self._pager = Pager(os.path.join(directory, f"{name}.frames.idx"))
         self._heap = BlobHeap(os.path.join(directory, f"{name}.frames.heap"))
         self._tree = BPlusTree(self._pager, "frames", unique=True)
-        meta = self._pager.get_meta()
-        stored = meta.get("framefile")
+        stored = self._pager.directory.get(("framefile",))
         if stored is not None:
             if stored["codec"] != self.codec:
                 raise StorageError(
@@ -64,8 +63,10 @@ class FrameFile(VideoStore):
                 )
             self.quality = stored["quality"]
         else:
-            meta["framefile"] = {"codec": self.codec, "quality": self.quality}
-            self._pager.set_meta(meta)
+            self._pager.directory[("framefile",)] = {
+                "codec": self.codec,
+                "quality": self.quality,
+            }
 
     # -- writes ---------------------------------------------------------
 

@@ -54,8 +54,7 @@ class SegmentedFile(VideoStore):
         self._pager = Pager(os.path.join(directory, f"{name}.clips.idx"))
         self._heap = BlobHeap(os.path.join(directory, f"{name}.clips.heap"))
         self._tree = BPlusTree(self._pager, "clips", unique=True)
-        meta = self._pager.get_meta()
-        stored = meta.get("segmented")
+        stored = self._pager.directory.get(("segmented",))
         if stored is not None:
             self.clip_len = stored["clip_len"]
             self._count = stored["n_frames"]
@@ -65,9 +64,10 @@ class SegmentedFile(VideoStore):
         self._pending: list[np.ndarray] = []
 
     def _save_meta(self) -> None:
-        meta = self._pager.get_meta()
-        meta["segmented"] = {"clip_len": self.clip_len, "n_frames": self._count}
-        self._pager.set_meta(meta)
+        self._pager.directory[("segmented",)] = {
+            "clip_len": self.clip_len,
+            "n_frames": self._count,
+        }
 
     # -- writes ---------------------------------------------------------
 

@@ -3,6 +3,8 @@
 Public surface:
 
 * :class:`~repro.storage.kvstore.pager.Pager` — fixed-size page manager.
+* :class:`~repro.storage.kvstore.directory.Directory` — the pager's keyed
+  directory of structure headers and small named records.
 * :class:`~repro.storage.kvstore.btree.BPlusTree` — ordered keyed store.
 * :class:`~repro.storage.kvstore.hashfile.HashFile` — persistent hash multimap.
 * :class:`~repro.storage.kvstore.recordfile.SortedRecordFile` — sorted file.
@@ -11,6 +13,7 @@ Public surface:
 """
 
 from repro.storage.kvstore.btree import BPlusTree
+from repro.storage.kvstore.directory import Directory
 from repro.storage.kvstore.hashfile import HashFile
 from repro.storage.kvstore.heap import BlobHeap, BlobRef
 from repro.storage.kvstore.pager import Pager
@@ -26,6 +29,7 @@ __all__ = [
     "BPlusTree",
     "BlobHeap",
     "BlobRef",
+    "Directory",
     "HashFile",
     "Pager",
     "SortedRecordFile",

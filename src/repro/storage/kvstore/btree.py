@@ -78,8 +78,11 @@ class _Node:
 class BPlusTree:
     """A named B+ tree stored inside a :class:`Pager`.
 
-    Several trees can share one pager; each keeps its root pointer under its
-    ``name`` in the pager's metadata dictionary.
+    Several trees can share one pager. A tree's header (root page, entry
+    count, uniqueness) is whatever :meth:`Pager.attach` hands back for
+    ``("btree", name)``; the tree reports a changed header to
+    :meth:`Pager.store_header` from the flush the pager runs at every
+    sync, and never learns where the pager keeps it.
 
     Parameters
     ----------
@@ -109,23 +112,19 @@ class BPlusTree:
         self._node_cache: dict[int, _Node] = {}
         self._node_cache_limit = 4096
         self._dirty_nodes: set[int] = set()
-        self._meta_key = f"btree:{name}"
-        meta = pager.get_meta()
-        state = meta.get(self._meta_key)
-        if state is None:
+        self._key = ("btree", name)
+        #: the header as last persisted — a flush stores it only on change
+        self._stored = header = pager.attach(self._key, self._flush)
+        if header is None:
             root = _Node(pager.allocate(), leaf=True)
             self._write_node(root)
             self._root_id = root.page_id
             self._count = 0
             self.unique = unique
-            self._save_state()
         else:
-            self._root_id = state["root"]
-            self._count = state["count"]
-            self.unique = state["unique"]
-        self._state_dirty = False
-        pager.register_sync_hook(self._flush_dirty_nodes)
-        pager.register_sync_hook(self._save_state)
+            self._root_id = header["root"]
+            self._count = header["count"]
+            self.unique = header["unique"]
 
     # -- public API -----------------------------------------------------
 
@@ -155,7 +154,6 @@ class BPlusTree:
             )
             self._write_node(new_root)
             self._root_id = new_root.page_id
-        self._state_dirty = True
 
     def get(self, key: Any) -> list[bytes]:
         """Return all values stored under ``key`` (empty list if none)."""
@@ -211,7 +209,6 @@ class BPlusTree:
                 break
             node = nxt
         self._count -= removed
-        self._state_dirty = True
         return removed
 
     def range(
@@ -301,7 +298,6 @@ class BPlusTree:
             level = parents
         self._root_id = level[0].page_id
         self._count = len(encoded)
-        self._state_dirty = True
 
     def clear(self) -> None:
         """Drop every entry (old pages are leaked until compaction)."""
@@ -309,12 +305,13 @@ class BPlusTree:
         self._write_node(root)
         self._root_id = root.page_id
         self._count = 0
-        self._state_dirty = True
 
-    def sync(self) -> None:
-        self._flush_dirty_nodes()
-        self._save_state()
-        self.pager.sync()
+    def drop(self) -> None:
+        """Remove the tree from its pager: the header is deleted and the
+        object must not be used afterwards (pages are leaked until
+        compaction, as with :meth:`clear`)."""
+        self._dirty_nodes.clear()
+        self.pager.detach(self._key)
 
     # -- internals ----------------------------------------------------------
 
@@ -457,14 +454,11 @@ class BPlusTree:
                 f"BlobHeap and index the BlobRef instead"
             )
 
-    def _save_state(self) -> None:
-        if not getattr(self, "_state_dirty", True):
-            return
-        meta = self.pager.get_meta()
-        meta[self._meta_key] = {
-            "root": self._root_id,
-            "count": self._count,
-            "unique": self.unique,
-        }
-        self.pager.set_meta(meta)
-        self._state_dirty = False
+    def _flush(self) -> None:
+        """What the pager runs at every sync: dirty nodes to their pages,
+        then the header if it moved."""
+        self._flush_dirty_nodes()
+        header = {"root": self._root_id, "count": self._count, "unique": self.unique}
+        if header != self._stored:
+            self.pager.store_header(self._key, header)
+            self._stored = header

@@ -27,6 +27,19 @@ def _hash_key(key_bytes: bytes) -> int:
     return zlib.crc32(key_bytes)
 
 
+def _frame(value: Any) -> bytes:
+    """A page image: the serialized value behind its 4-byte length."""
+    payload = serialization.dumps(value, compress_arrays=False)
+    return struct.pack(">I", len(payload)) + payload
+
+
+def _unframe(image: bytes) -> Any:
+    """The value of a page written by :func:`_frame` (``None`` for a
+    never-written page)."""
+    (length,) = struct.unpack_from(">I", image, 0)
+    return serialization.loads(bytes(image[4 : 4 + length])) if length else None
+
+
 class HashFile:
     """A named persistent hash multimap inside a :class:`Pager`.
 
@@ -40,24 +53,21 @@ class HashFile:
             raise StorageError(f"n_buckets must be a power of two, got {n_buckets}")
         self.pager = pager
         self.name = name
-        self._meta_key = f"hash:{name}"
-        meta = pager.get_meta()
-        state = meta.get(self._meta_key)
-        if state is None:
+        self._key = ("hash", name)
+        #: the header as last persisted — a flush stores it only on change
+        self._stored = header = pager.attach(self._key, self._flush)
+        if header is None:
             self.n_buckets = n_buckets
             self._directory = [pager.allocate() for _ in range(n_buckets)]
             for page_id in self._directory:
                 self._write_bucket(page_id, _NO_PAGE, [])
             self._count = 0
             self._dir_pages = self._write_directory()
-            self._save_state()
         else:
-            self.n_buckets = state["n_buckets"]
-            self._count = state["count"]
-            self._dir_pages = list(state["dir_pages"])
+            self.n_buckets = header["n_buckets"]
+            self._count = header["count"]
+            self._dir_pages = list(header["dir_pages"])
             self._directory = self._read_directory()
-        self._state_dirty = False
-        pager.register_sync_hook(self._save_state)
 
     def __len__(self) -> int:
         return self._count
@@ -88,7 +98,6 @@ class HashFile:
             self._write_bucket(overflow, next_page, entries)
             self._write_bucket(page_id, overflow, [(key_bytes, bytes(value))])
         self._count += 1
-        self._state_dirty = True
 
     def get(self, key: Any) -> list[bytes]:
         """Return every value stored under ``key`` (empty list if none)."""
@@ -121,7 +130,6 @@ class HashFile:
                 self._write_bucket(page_id, next_page, kept)
             page_id = next_page
         self._count -= removed
-        self._state_dirty = True
         return removed
 
     def items(self) -> Iterator[tuple[Any, bytes]]:
@@ -134,9 +142,11 @@ class HashFile:
                     yield serialization.decode_key(key_bytes), value
                 page_id = next_page
 
-    def sync(self) -> None:
-        self._save_state()
-        self.pager.sync()
+    def drop(self) -> None:
+        """Remove the hash file from its pager: the header is deleted and
+        the object must not be used afterwards (pages are leaked until
+        compaction)."""
+        self.pager.detach(self._key)
 
     # -- internals ----------------------------------------------------------
 
@@ -144,44 +154,33 @@ class HashFile:
         return self._directory[_hash_key(key_bytes) & (self.n_buckets - 1)]
 
     def _read_bucket(self, page_id: int) -> tuple[int, list[tuple[bytes, bytes]]]:
-        image = bytes(self.pager.read(page_id))
-        (length,) = struct.unpack_from(">I", image, 0)
-        if length == 0:
+        payload = _unframe(self.pager.read(page_id))
+        if payload is None:
             return _NO_PAGE, []
-        payload = serialization.loads(image[4 : 4 + length])
         return payload[0], [(k, v) for k, v in payload[1]]
 
     def _write_bucket(
         self, page_id: int, next_page: int, entries: list[tuple[bytes, bytes]]
     ) -> None:
-        payload = serialization.dumps(
-            [next_page, [list(e) for e in entries]], compress_arrays=False
-        )
-        image = bytearray(4 + len(payload))
-        struct.pack_into(">I", image, 0, len(payload))
-        image[4:] = payload
-        self.pager.write(page_id, bytes(image))
+        self.pager.write(page_id, _frame([next_page, [list(e) for e in entries]]))
 
     def _bucket_fits(self, next_page: int, entries: list[tuple[bytes, bytes]]) -> bool:
-        payload = serialization.dumps(
-            [next_page, [list(e) for e in entries]], compress_arrays=False
-        )
-        return 4 + len(payload) <= self.pager.capacity
+        image = _frame([next_page, [list(e) for e in entries]])
+        return len(image) <= self.pager.capacity
 
-    def _save_state(self) -> None:
-        if not getattr(self, "_state_dirty", True):
-            return
-        meta = self.pager.get_meta()
-        meta[self._meta_key] = {
+    def _flush(self) -> None:
+        """What the pager runs at every sync: the header, if it moved."""
+        header = {
             "n_buckets": self.n_buckets,
             "count": self._count,
             "dir_pages": list(self._dir_pages),
         }
-        self.pager.set_meta(meta)
-        self._state_dirty = False
+        if header != self._stored:
+            self.pager.store_header(self._key, header)
+            self._stored = header
 
     # The bucket directory can be arbitrarily large, so it lives in its
-    # own chain of pages rather than the (single-page) metadata dict.
+    # own chain of pages rather than in the header entry.
     _DIR_SLOTS = 400  # 8-byte ids with serialization overhead per 4K page
 
     def _write_directory(self) -> list[int]:
@@ -189,18 +188,12 @@ class HashFile:
         for start in range(0, len(self._directory), self._DIR_SLOTS):
             chunk = self._directory[start : start + self._DIR_SLOTS]
             page_id = self.pager.allocate()
-            payload = serialization.dumps(list(chunk), compress_arrays=False)
-            image = bytearray(4 + len(payload))
-            struct.pack_into(">I", image, 0, len(payload))
-            image[4:] = payload
-            self.pager.write(page_id, bytes(image))
+            self.pager.write(page_id, _frame(list(chunk)))
             pages.append(page_id)
         return pages
 
     def _read_directory(self) -> list[int]:
         out: list[int] = []
         for page_id in self._dir_pages:
-            image = bytes(self.pager.read(page_id))
-            (length,) = struct.unpack_from(">I", image, 0)
-            out.extend(serialization.loads(image[4 : 4 + length]))
+            out.extend(_unframe(self.pager.read(page_id)))
         return out

@@ -1,18 +1,30 @@
 """Page-based storage manager.
 
 A :class:`Pager` exposes a single file as an array of fixed-size pages with
-allocation, a free list, a write-back LRU cache, and a small metadata
-dictionary for clients (the B+ tree stores its root page id there, the hash
-file its bucket directory page, and so on). It is the substrate that stands
-in for BerkeleyDB's underlying mpool/file layer in the paper's prototype.
+allocation, a free list, a write-back LRU cache, and one growable keyed
+:class:`~repro.storage.kvstore.directory.Directory` in which every paged
+structure keeps its header (a B+ tree its root page and entry count, a
+hash file its bucket directory pages) and clients keep whatever else they
+must find again by name. It is the substrate that stands in for
+BerkeleyDB's underlying mpool/file layer in the paper's prototype.
 
-Layout (format v2, ``DLPG0002``)::
+Layout (format v3, ``DLPG0003``)::
 
     page 0        header: magic, page_size, page_count, freelist head,
                   meta page id, header CRC32
-    page meta     serialized dict of client metadata (single page)
+    page meta     the fixed-size root: root page and entry count of the
+                  directory's own B+ tree, then one small client record
+                  (:meth:`Pager.get_meta` / :meth:`Pager.set_meta` — the
+                  catalog keeps ``next_id`` there; it must fit the page
+                  and is meant never to grow)
     page 2..n     client pages / free pages (free pages chain through their
                   first 8 bytes)
+
+Nothing that grows with the number of structures lives in the meta page:
+headers are directory entries, written by each structure's flush when
+they changed (:meth:`Pager.attach` / :meth:`Pager.store_header`), and the
+directory's tree flushes last in :meth:`Pager.sync`, after every other
+structure has reported into it.
 
 Every page reserves its last 4 bytes for a CRC32 of the payload, stamped on
 write-through and verified on every disk read — a torn or bit-flipped page
@@ -34,18 +46,25 @@ import struct
 import threading
 import zlib
 from collections import OrderedDict
+from typing import Any
 
 from repro.errors import CorruptionError, PageError, StorageError
 from repro.storage.faultfs import OS_OPS
 from repro.storage.kvstore import serialization
+from repro.storage.kvstore.directory import Directory
 
-MAGIC = b"DLPG0002"
+MAGIC = b"DLPG0003"
 DEFAULT_PAGE_SIZE = 4096
 # magic, page_size, page_count, freelist_head, meta_page (+ CRC32)
 _HEADER_BODY_FMT = ">8sIQQQ"
 _HEADER_BODY_SIZE = struct.calcsize(_HEADER_BODY_FMT)
 _HEADER_SIZE = _HEADER_BODY_SIZE + 4
 _TRAILER_SIZE = 4  # per-page payload CRC32
+# meta page: directory root page, directory entry count, client record length
+_META_FMT = ">QQI"
+_META_SIZE = struct.calcsize(_META_FMT)
+#: the directory's own tree: the one header kept in the meta page
+_DIRECTORY_KEY = ("btree", "pager:directory")
 _NO_PAGE = 0  # page 0 is the header, so 0 doubles as the null page id
 
 
@@ -125,7 +144,12 @@ class Pager:
         self._dirty: set[int] = set()
         self._cache_pages = max(cache_pages, 8)
         self._closed = False
-        self._sync_hooks: list = []
+        #: header key -> flush callable of the structure attached under it
+        self._flushers: dict[tuple, Any] = {}
+        #: the file's keyed directory: tuple keys, small serializable
+        #: values, one unique B+ tree (created at the first read or
+        #: write) whose own header is the meta page's fixed root
+        self.directory = Directory(self._open_directory_tree, self._lock)
         exists = os.path.exists(self.path) and os.path.getsize(self.path) > 0
         self._file = self._fs.open(self.path, "r+b" if exists else "w+b")
         if exists:
@@ -139,7 +163,6 @@ class Pager:
             self._meta_page = _NO_PAGE
             self._write_header()
             self._meta_page = self.allocate()
-            self.set_meta({})
             self._write_header()
 
     # -- lifecycle ------------------------------------------------------
@@ -159,20 +182,53 @@ class Pager:
             self._file.close()
             self._closed = True
 
-    def register_sync_hook(self, hook) -> None:
-        """Register a callable run at the start of every :meth:`sync`.
+    def _open_directory_tree(self):
+        # runtime import: btree imports this module
+        from repro.storage.kvstore.btree import BPlusTree
 
-        Clients (B+ trees, hash files) use this to persist their root
-        pointers lazily instead of rewriting the metadata page per insert.
-        """
-        self._sync_hooks.append(hook)
+        return BPlusTree(self, _DIRECTORY_KEY[1], unique=True)
+
+    def attach(self, key: tuple, flush) -> Any:
+        """Adopt a paged structure: returns the header persisted under
+        ``key`` (``None`` for a structure that does not exist yet) and
+        calls ``flush()`` at the start of every :meth:`sync`, where the
+        structure writes its dirty pages and hands a changed header to
+        :meth:`store_header`. Where the header lives is the pager's
+        business alone. A later ``attach`` of the same key takes over."""
+        with self._lock:
+            self._flushers[key] = flush
+            if key != _DIRECTORY_KEY:
+                return self.directory.get(key)
+            root, count, _ = struct.unpack_from(
+                _META_FMT, self.read(self._meta_page), 0
+            )
+            return {"root": root, "count": count, "unique": True} if root else None
+
+    def store_header(self, key: tuple, header: dict) -> None:
+        """Persist the header of the structure attached under ``key``."""
+        with self._lock:
+            if key != _DIRECTORY_KEY:
+                self.directory[key] = header
+                return
+            page = self.read(self._meta_page)
+            struct.pack_into(">QQ", page, 0, header["root"], header["count"])
+            self.write(self._meta_page, bytes(page))
+
+    def detach(self, key: tuple) -> None:
+        """Drop a structure: its header and its flush registration (its
+        pages are leaked until compaction)."""
+        with self._lock:
+            del self._flushers[key]
+            self.directory.pop(key, None)
 
     def sync(self) -> None:
         """Write every dirty cached page and the header durably to disk."""
         with self._lock:
             self._check_open()
-            for hook in self._sync_hooks:
-                hook()
+            # the directory's own tree sorts last: every other
+            # structure's flush may still write its header into it
+            for key in sorted(self._flushers, key=_DIRECTORY_KEY.__eq__):
+                self._flushers[key]()
             dirty = sorted(self._dirty)
             if self._journal is not None and dirty:
                 # batch the before-images with one journal sync barrier
@@ -267,13 +323,15 @@ class Pager:
     # -- client metadata ----------------------------------------------------
 
     def get_meta(self) -> dict:
-        """Return the client metadata dictionary (e.g. index root pointers)."""
+        """Return the client's record from the meta page: a small dict
+        that must never grow with the number of structures (those are
+        :attr:`directory` entries)."""
         with self._lock:
             page = self.read(self._meta_page)
-        (length,) = struct.unpack_from(">I", page, 0)
+        _, _, length = struct.unpack_from(_META_FMT, page, 0)
         if length == 0:
             return {}
-        if length > self.capacity - 4:
+        if length > self.capacity - _META_SIZE:
             self._metric_corruption.inc()
             raise CorruptionError(
                 f"meta dict length {length} exceeds page capacity",
@@ -281,7 +339,7 @@ class Pager:
                 offset=self._meta_page * self.page_size,
             )
         try:
-            return serialization.loads(bytes(page[4 : 4 + length]))
+            return serialization.loads(bytes(page[_META_SIZE : _META_SIZE + length]))
         except (StorageError, ValueError, KeyError, struct.error) as exc:
             self._metric_corruption.inc()
             raise CorruptionError(
@@ -291,18 +349,22 @@ class Pager:
             ) from exc
 
     def set_meta(self, meta: dict) -> None:
-        """Persist the client metadata dictionary (must fit in one page)."""
+        """Replace the client's record in the meta page (must fit in one
+        page beside the directory root, which is kept)."""
         payload = serialization.dumps(meta)
-        if len(payload) + 4 > self.capacity:
+        if len(payload) + _META_SIZE > self.capacity:
             raise PageError(
                 f"meta dict of {len(payload)} bytes does not fit in one "
                 f"{self.page_size}-byte page"
             )
-        image = bytearray(self.page_size)
-        struct.pack_into(">I", image, 0, len(payload))
-        image[4 : 4 + len(payload)] = payload
         with self._lock:
-            self.write(self._meta_page, bytes(image))
+            root, count, _ = struct.unpack_from(
+                _META_FMT, self.read(self._meta_page), 0
+            )
+            self.write(
+                self._meta_page,
+                struct.pack(_META_FMT, root, count, len(payload)) + payload,
+            )
 
     # -- internals ----------------------------------------------------------
 
@@ -410,7 +472,8 @@ class Pager:
         magic = raw[:8]
         if magic != MAGIC:
             raise CorruptionError(
-                f"bad magic {magic!r}; not a pager file",
+                f"bad magic {magic!r}; not a pager file of the {MAGIC!r} "
+                f"layout (directory root in the meta page)",
                 file=self.path,
                 offset=0,
             )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -374,9 +374,3 @@ def key_range_prefix(prefix: tuple) -> tuple[bytes, bytes]:
     lo = bytes([_K_TUPLE]) + bytes(body)
     hi = lo + b"\xff"
     return lo, hi
-
-
-def iter_key_values(pairs: Iterator[tuple[bytes, bytes]]) -> Iterator[tuple[Any, Any]]:
-    """Decode an iterator of raw ``(key_bytes, value_bytes)`` pairs."""
-    for key_bytes, value_bytes in pairs:
-        yield decode_key(key_bytes), loads(value_bytes)

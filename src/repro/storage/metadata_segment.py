@@ -850,9 +850,10 @@ class MetadataSegmentStore:
     the same heap: a full descriptor is the base, and a flush that only
     appended tail rows writes just those rows as a delta — a commit
     costs the rows it added, not the tail it found. Sealing a block (or
-    a chain grown to its base's size) starts a fresh base. The catalog
-    hands the chain refs in via :meth:`attach` (from pager meta) and
-    gets them back from :meth:`flush`. Superseded descriptors and blocks
+    a chain grown to its base's size) starts a fresh base. ``refs`` is
+    the section of the catalog's directory holding one chain-ref entry
+    per segment; the snapshot store writes an entry when :meth:`flush`
+    moves that chain. Superseded descriptors and blocks
     stay in the append-only heap, unreferenced; the store bounds them to
     a constant factor of the live data, and reclaiming them
     (compaction) stays a non-goal.
@@ -861,6 +862,7 @@ class MetadataSegmentStore:
     def __init__(
         self,
         path: str,
+        refs,
         *,
         metrics=None,
         journal=None,
@@ -878,17 +880,13 @@ class MetadataSegmentStore:
         )
         self._metrics = metrics
         #: descriptor chains, keyed ``("segment", collection)``
-        self.snapshots = SnapshotStore(self._heap, metrics=metrics)
+        self.snapshots = SnapshotStore(self._heap, refs, metrics=metrics)
         #: ``on_corruption(name, exc)`` — the catalog's quarantine hook,
         #: called when a segment descriptor fails validation and the
         #: store falls back to a fresh empty segment (rebuilt lazily)
         self._on_corruption = on_corruption or (lambda name, exc: None)
         self._segments: dict[str, CollectionSegment] = {}
         self._lock = threading.RLock()
-
-    def attach(self, refs: dict) -> None:
-        with self._lock:
-            self.snapshots.attach(refs)
 
     def segment(self, name: str) -> CollectionSegment:
         """The named collection's segment, loading the persisted
@@ -922,15 +920,14 @@ class MetadataSegmentStore:
             self._segments.pop(name, None)
             self.snapshots.drop((SEGMENT, name))
 
-    def flush(self) -> dict:
-        """Persist dirty segments; returns the descriptor-chain refs the
-        catalog stores in pager meta."""
+    def flush(self) -> None:
+        """Persist dirty segments (each moves its descriptor chain, and
+        with it that chain's ref entry)."""
         with self._lock:
             for name, segment in self._segments.items():
                 if segment.dirty:
                     self.snapshots.save((SEGMENT, name), segment)
                     segment.dirty = False
-            return self.snapshots.refs()
 
     def scrub(self) -> tuple[int, list]:
         """Checksum-walk the segment heap file (see

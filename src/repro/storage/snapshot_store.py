@@ -3,7 +3,7 @@
 Statistics, metadata-segment descriptors, HNSW graphs, the plan-quality
 and slow-query logs and the video registry all persist the same way: a
 blob in an append-only :class:`~repro.storage.kvstore.heap.BlobHeap`
-plus a reference in the catalog's meta page. Re-serializing the whole
+plus a reference entry in the catalog's directory. Re-serializing the whole
 object on every commit made a commit cost O(structure); this store makes
 it O(change) the way Deep Lake commits a version as the diff of appended
 chunks.
@@ -11,8 +11,10 @@ chunks.
 Every key owns a **chain** of records. The oldest is a *base* (the full
 ``to_value()`` of the object); each later one is a *delta* (what
 ``take_delta()`` reported) holding a back pointer to the record before
-it. The meta page keeps only ``(base_ref, head_ref)`` per key, so it
-stays O(1) however long the chain grows. One fixed policy bounds the
+it. The store's ``refs`` mapping (a section of the catalog's keyed
+directory) keeps only ``(base_ref, head_ref)`` per key — one small entry,
+rewritten by the store whenever that chain moves and by nothing else —
+so it stays O(1) however long the chain grows. One fixed policy bounds the
 chain: a delta is written only while the deltas' stored bytes stay below
 the base's stored bytes, otherwise a fresh base starts a new chain — an
 appended row is rewritten O(1) times amortized, and a load reads less
@@ -20,13 +22,14 @@ than twice the base.
 
 Records are ordinary heap appends, so they inherit the heap's record
 checksums and ride the commit journal's transaction: a rolled-back
-commit truncates them away together with the meta page that would have
-referenced them.
+commit truncates them away together with the directory entry that would
+have referenced them.
 
 Client protocol (duck-typed; the store never imports its clients):
 
 ``obj.to_value()``
-    the full snapshot (required).
+    the full snapshot. An object without the method (a plain list or
+    dict of serializable values) is its own snapshot.
 ``obj.take_delta()`` *(optional)*
     what changed since the previous call (or since the object was
     loaded), or ``None`` when the object does not continue a persisted
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from collections.abc import MutableMapping
 from typing import Any, Callable
 
 from repro.errors import CorruptionError, StorageError
@@ -66,25 +69,21 @@ DECODE_ERRORS = (
 )
 
 
-@dataclass
-class _Chain:
-    base: BlobRef
-    head: BlobRef
-    #: stored bytes of the deltas between base and head; ``None`` until
-    #: this session has walked the chain (only :meth:`load` learns it)
-    delta_bytes: int | None
-
-
 class SnapshotStore:
     """Keyed base + delta chains over one blob heap.
 
     Keys are tuples whose first element names the structure kind
     (``("stats", "detections")``, ``("hnsw", "vecs", "emb")``); it labels
-    the ``deeplens_snapshot_*`` series.
+    the ``deeplens_snapshot_*`` series. ``refs`` maps each key to its
+    chain, ``[base_off, base_len, head_off, head_len]``: the store reads
+    an entry when a chain is touched and writes it when the chain moves,
+    so whoever owns the mapping (the catalog's directory; a plain dict in
+    tests) persists exactly what changed.
     """
 
-    def __init__(self, heap: BlobHeap, *, metrics=None) -> None:
+    def __init__(self, heap: BlobHeap, refs: MutableMapping, *, metrics=None) -> None:
         self._heap = heap
+        self.refs = refs
         if metrics is None:
             # runtime import: repro.core imports the storage package at load
             from repro.core.metrics import NULL_REGISTRY
@@ -100,35 +99,30 @@ class SnapshotStore:
             "stored bytes of appended snapshot records",
             labels=("structure", "kind"),
         )
-        self._chains: dict[tuple, _Chain] = {}
+        #: key -> stored bytes of the deltas between base and head, for
+        #: the chains this session has walked or started (only then may a
+        #: delta be appended: the policy needs the figure)
+        self._delta_bytes: dict[tuple, int] = {}
 
-    # -- meta-page wiring -------------------------------------------------
-
-    def attach(self, refs: dict) -> None:
-        """Adopt the ``{key: [base_off, base_len, head_off, head_len]}``
-        mapping read from the meta page (replacing what was attached)."""
-        self._chains = {
-            tuple(key): _Chain(
-                BlobRef(int(entry[0]), int(entry[1])),
-                BlobRef(int(entry[2]), int(entry[3])),
-                None,
-            )
-            for key, entry in refs.items()
-        }
-
-    def refs(self) -> dict:
-        """The mapping :meth:`attach` reads back: four ints per key."""
-        return {
-            key: [*chain.base.to_tuple(), *chain.head.to_tuple()]
-            for key, chain in sorted(self._chains.items())
-        }
-
-    def __contains__(self, key: tuple) -> bool:
-        return key in self._chains
+    def keys(self, structure: str) -> list[tuple]:
+        """The keys of every chain of one structure kind."""
+        return [key for key in self.refs if key[0] == structure]
 
     def drop(self, key: tuple) -> None:
         """Forget a key's chain (its blobs stay in the heap, unreferenced)."""
-        self._chains.pop(key, None)
+        self._delta_bytes.pop(key, None)
+        self.refs.pop(key, None)
+
+    def _chain(self, key: tuple) -> tuple[BlobRef, BlobRef] | None:
+        """``(base, head)`` of the chain under ``key``."""
+        entry = self.refs.get(key)
+        if entry is None:
+            return None
+        return BlobRef(*entry[:2]), BlobRef(*entry[2:])
+
+    def _move(self, key: tuple, base: BlobRef, head: BlobRef, delta_bytes: int) -> None:
+        self.refs[key] = [*base.to_tuple(), *head.to_tuple()]
+        self._delta_bytes[key] = delta_bytes
 
     # -- writes -----------------------------------------------------------
 
@@ -137,27 +131,24 @@ class SnapshotStore:
         express its change as one and the chain has room, else a base."""
         take = getattr(obj, "take_delta", None)
         delta = take() if take is not None else None
-        chain = self._chains.get(key)
+        delta_bytes = self._delta_bytes.get(key)
         try:
-            if (
-                delta is not None
-                and chain is not None
-                and chain.delta_bytes is not None
-            ):
-                blob = _encode(DELTA, chain.head, delta)
-                if chain.delta_bytes + len(blob) < chain.base.length:
-                    chain.head = self._heap.put(blob)
-                    chain.delta_bytes += len(blob)
+            if delta is not None and delta_bytes is not None:
+                base, head = self._chain(key)
+                blob = _encode(DELTA, head, delta)
+                if delta_bytes + len(blob) < base.length:
+                    self._move(key, base, self._heap.put(blob), delta_bytes + len(blob))
                     self._count(key, DELTA, len(blob))
                     return
-            blob = _encode(BASE, None, obj.to_value())
+            value = obj.to_value() if hasattr(obj, "to_value") else obj
+            blob = _encode(BASE, None, value)
             ref = self._heap.put(blob)
-            self._chains[key] = _Chain(ref, ref, 0)
+            self._move(key, ref, ref, 0)
             self._count(key, BASE, len(blob))
         except BaseException:
             # take_delta() already forgot what it handed out: only a fresh
             # base (the object's full state) can follow a failed write
-            self._chains.pop(key, None)
+            self.drop(key)
             raise
 
     def _count(self, key: tuple, kind: str, stored: int) -> None:
@@ -184,11 +175,11 @@ class SnapshotStore:
         so the caller rebuilds; without it the error propagates (state
         that cannot be rebuilt).
         """
-        chain = self._chains.get(key)
+        chain = self._chain(key)
         if chain is None:
             return None
         try:
-            records = self._walk(key, chain)
+            records = self._walk(key, *chain)
             ref, value = records.pop()
             try:
                 obj = from_value(value)
@@ -201,26 +192,28 @@ class SnapshotStore:
         except CorruptionError as exc:
             if on_corrupt is None:
                 raise
-            self._chains.pop(key, None)
+            self.drop(key)
             on_corrupt(exc)
             return None
-        chain.delta_bytes = sum(ref.length for ref, _ in records)
+        self._delta_bytes[key] = sum(ref.length for ref, _ in records)
         return obj
 
-    def _walk(self, key: tuple, chain: _Chain) -> list[tuple[BlobRef, Any]]:
+    def _walk(
+        self, key: tuple, base: BlobRef, head: BlobRef
+    ) -> list[tuple[BlobRef, Any]]:
         """The chain's ``(ref, value)`` records, head first, base last."""
         records: list[tuple[BlobRef, Any]] = []
-        ref = chain.head
+        ref = head
         while True:
             kind, prev, value = self._read(key, ref)
             records.append((ref, value))
             if kind == BASE:
-                if ref != chain.base:
+                if ref != base:
                     raise self._corrupt(key, ref, "chain ends at a foreign base")
                 return records
             # back pointers run strictly towards the base: anything else
             # is a cycle or a pointer into another structure's records
-            if prev is None or not chain.base.offset <= prev.offset < ref.offset:
+            if prev is None or not base.offset <= prev.offset < ref.offset:
                 raise self._corrupt(key, ref, "delta points outside its chain")
             ref = prev
 
@@ -251,9 +244,9 @@ class SnapshotStore:
         Returns ``(records_checked, [(structure name, error), ...])``."""
         checked = 0
         errors: list[tuple[str, CorruptionError]] = []
-        for key, chain in sorted(self._chains.items()):
+        for key in sorted(self.refs):
             try:
-                checked += len(self._walk(key, chain))
+                checked += len(self._walk(key, *self._chain(key)))
             except CorruptionError as exc:
                 errors.append((_name(key), exc))
         return checked, errors

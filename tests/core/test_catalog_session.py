@@ -193,6 +193,75 @@ class TestCatalog:
             with pytest.raises(IndexError_, match="multi_value=False"):
                 db.create_index("texts", "frameno", "btree", multi_value=True)
 
+    @pytest.mark.parametrize("reopen", [False, True])
+    @pytest.mark.parametrize("kind", ["hash", "btree"])
+    def test_replace_drops_the_old_index_structures(self, tmp_path, kind, reopen):
+        """``materialize(replace=True)`` used to unregister a hash/btree
+        index but leave its on-disk structure behind, so the re-created
+        index reattached to it and served the replaced rows' patch ids
+        (``QueryError: patch 0 not in collection``)."""
+        db = DeepLens(tmp_path)
+        db.materialize(make_patches(6), "c")
+        db.create_index("c", "label", kind)
+        db.materialize(make_patches(9), "c", replace=True)
+        assert db.catalog.indexes() == []
+        if reopen:
+            db.close()
+            db = DeepLens(tmp_path)
+        with db:
+            db.create_index("c", "label", kind)
+            found = db.collection("c").lookup("label", "vehicle", kind=kind)
+            assert [p["frameno"] for p in found] == [0, 3, 6]
+            assert db.scan("c").filter(Attr("label") == "vehicle").count() == 3
+
+    @pytest.mark.parametrize("reopen", [False, True])
+    def test_replace_drops_the_multi_value_flag(self, tmp_path, reopen):
+        """The flag used to outlive the replaced collection, so a plain
+        index re-created on the attribute filed the next ``add`` under
+        ``'x'`` and ``'y'`` instead of ``('x', 'y')``."""
+
+        def tagged(i):
+            patch = Patch.from_frame("doc", i, np.zeros((4, 4, 3), np.uint8))
+            patch.metadata["tags"] = ("x", "y")
+            return patch
+
+        db = DeepLens(tmp_path)
+        db.materialize([tagged(0)], "texts")
+        db.create_index("texts", "tags", "hash", multi_value=True)
+        db.materialize([tagged(1)], "texts", replace=True)
+        if reopen:
+            db.close()
+            db = DeepLens(tmp_path)
+        with db:
+            index = db.create_index("texts", "tags", "hash")  # plain: no raise
+            new_id = db.collection("texts").add(tagged(2))
+            assert new_id in index.lookup(("x", "y"))
+            assert index.lookup("x") == []
+
+    @pytest.mark.parametrize("reopen", [False, True])
+    def test_refreshing_an_indexed_view_drops_its_index(self, tmp_path, reopen):
+        def vehicles(db):
+            return db.scan("c").filter(Attr("label") == "vehicle")
+
+        db = DeepLens(tmp_path)
+        db.materialize(make_patches(6), "c")
+        db.materialize_view("v", vehicles(db))
+        db.create_index("v", "frameno", "btree")
+        for patch in make_patches(12):
+            if patch["frameno"] >= 6:
+                db.collection("c").add(patch)
+        if reopen:
+            db.close()
+            db = DeepLens(tmp_path)
+        with db:
+            db.refresh_view("v", vehicles(db))
+            assert db.catalog.indexes() == []
+            db.create_index("v", "frameno", "btree")
+            found = db.collection("v").lookup("frameno", 3, kind="btree")
+            assert [p["frameno"] for p in found] == [3]
+            ranged = db.scan("v").filter(Attr("frameno") >= 0)
+            assert sorted(p["frameno"] for p in ranged.patches()) == [0, 3, 6, 9]
+
     def test_multi_value_requires_hash_or_btree(self, tmp_path):
         with Catalog(tmp_path) as catalog:
             catalog.materialize(make_patches(2), "c")

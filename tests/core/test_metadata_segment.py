@@ -254,10 +254,10 @@ class TestSegmentStorage:
                 catalog.collection("c").scan(load_data=False)
             )
         # simulate a catalog created before the segment existed: no
-        # segment heap on disk, no descriptor refs in the pager meta
+        # segment heap on disk, no descriptor ref in the directory
         os.remove(os.path.join(tmp_path, "metadata.seg"))
         with Catalog(tmp_path) as catalog:
-            catalog.segments.attach({})
+            catalog.segments.drop("c")
         with Catalog(tmp_path) as catalog:
             collection = catalog.collection("c")
             # the first metadata read backfills from the record heap...

@@ -200,7 +200,7 @@ def test_corrupt_stats_snapshot_rebuilds_from_scan(tmp_path):
         # corrupt the persisted snapshot in place: point its ref at a
         # blob that is not a statistics payload
         bogus = catalog.heap.put(b"not a stats snapshot").to_tuple()
-        catalog.snapshots.attach({("stats", "base"): [*bogus, *bogus]})
+        catalog.snapshots.refs[("stats", "base")] = [*bogus, *bogus]
         catalog._stats.pop("base", None)
         rebuilt = catalog.statistics_for("base")
         assert rebuilt is not None
@@ -227,6 +227,25 @@ def test_v1_pager_magic_is_rejected(tmp_path):
         Pager(path)
     assert caught.value.file == str(path)
     assert caught.value.offset == 0
+
+
+def test_dict_in_a_page_catalog_is_rejected_by_name(tmp_path):
+    """``DLPG0002`` kept the whole catalog as one dict in the meta page;
+    no such catalog was ever deployed, nothing reads or migrates it, and
+    opening one says which layout this build expects."""
+    workdir = tmp_path / "old"
+    workdir.mkdir()
+    page_size = 4096
+    meta = serialization.dumps({"catalog:next_id": 3, "catalog:collections": ["c"]})
+    body = struct.pack(">8sIQQQ", b"DLPG0002", page_size, 2, 0, 1)
+    header = (body + struct.pack(">I", zlib.crc32(body))).ljust(page_size, b"\x00")
+    meta_image = struct.pack(">I", len(meta)) + meta
+    with open(workdir / "catalog.db", "wb") as file:
+        file.write(header)
+        file.write(meta_image.ljust(page_size, b"\x00"))
+    with pytest.raises(StorageError, match="DLPG0002.*DLPG0003.*directory") as caught:
+        Catalog(workdir, durability="flush")
+    assert caught.value.file == str(workdir / "catalog.db")
 
 
 def test_v1_heap_magic_is_rejected(tmp_path):

@@ -245,6 +245,87 @@ def test_crash_during_delta_commits_lands_on_a_commit(tmp_path, mode):
     assert reached >= commits - 1
 
 
+def _wl_grow_everything(workdir, fs):
+    """ONE commit that creates a collection and an index, splits the root
+    of a collection tree, and moves a statistics chain — so every kind of
+    directory entry (collection and index records, tree and hash-file
+    headers, snapshot refs) is written, and enough of them to split a
+    directory leaf. The statements' own commit barriers are suppressed;
+    ``close`` commits everything at once."""
+    catalog = Catalog(workdir, durability=DURABILITY, fs=fs)
+    catalog.sync = lambda: None
+    collection = catalog.collection("base")
+    for patch in _patches(60, start=500):
+        collection.add(patch)
+    catalog.materialize(_patches(5, start=600), "fresh")
+    catalog.create_index("fresh", "label", "hash")
+    del catalog.sync
+    catalog.close()
+
+
+def _tree_shape(tree):
+    """(root is a leaf, number of leaves) of a B+ tree."""
+    node = tree._leftmost_leaf()
+    leaves = 1
+    while node.next_leaf:
+        node = tree._read_node(node.next_leaf)
+        leaves += 1
+    return tree._read_node(tree._root_id).leaf, leaves
+
+
+@pytest.mark.parametrize(
+    "fillers, splits_root, mode",
+    [(11, True, "torn"), (20, False, "kill")],
+    ids=["directory-root-splits-torn", "directory-leaf-splits-kill"],
+)
+def test_crash_while_the_directory_grows_is_all_or_nothing(
+    tmp_path, fillers, splits_root, mode
+):
+    """The guard for the directory's one ordering rule: its pages (and
+    the root record in the meta page) must be written after every tree,
+    hash file and snapshot store has reported into it. ``fillers``
+    one-row collections bring a directory leaf to the brink, so the
+    commit splits it — the root leaf itself (the meta page's root
+    pointer moves) or a leaf below an existing root."""
+    base = tmp_path / "base"
+    _seed_base(base)
+    with Catalog(base, durability=DURABILITY) as catalog:
+        for i in range(fillers):
+            catalog.materialize(_patches(1, start=50 + i), f"filler{i:02d}")
+    pre_state = _fingerprint(base)
+    with Catalog(base, durability=DURABILITY) as catalog:
+        pre_directory = _tree_shape(catalog.directory._tree)
+        assert _tree_shape(catalog.collection("base")._tree) == (True, 1)
+        pre_stats = catalog.snapshots.refs[("stats", "base")]
+
+    probe = tmp_path / "probe"
+    shutil.copytree(base, probe)
+    counter = FaultInjector(fail_at=None)
+    _wl_grow_everything(probe, counter)
+    counter.close_all()
+    post_state = _fingerprint(probe)
+    assert post_state != pre_state
+    with Catalog(probe, durability=DURABILITY) as catalog:
+        # the commit did what the test is about
+        post_directory = _tree_shape(catalog.directory._tree)
+        assert post_directory[1] == pre_directory[1] + 1
+        assert pre_directory[0] == splits_root and not post_directory[0]
+        assert not _tree_shape(catalog.collection("base")._tree)[0]
+        assert catalog.snapshots.refs[("stats", "base")] != pre_stats
+        assert catalog.has_index("fresh", "label", "hash")
+
+    for step in _steps_for(counter.ops):
+        workdir = tmp_path / f"step{step}"
+        shutil.copytree(base, workdir)
+        assert _crash_run(workdir, _wl_grow_everything, step, mode)
+        state = _fingerprint(workdir)
+        assert state in (pre_state, post_state), (
+            f"grow_everything/{mode}: crash at op {step}/{counter.ops} left "
+            f"a mixed state"
+        )
+        shutil.rmtree(workdir)
+
+
 def test_crash_past_the_last_op_changes_nothing(tmp_path):
     """A fault point beyond the workload's op count never fires: the
     workload completes and the store shows exactly the post state."""

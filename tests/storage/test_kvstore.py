@@ -69,6 +69,46 @@ class TestPager:
             page = pg.get_meta()["page"]
             assert bytes(pg.read(page))[:7] == b"durable"
 
+    def test_directory_entries_grow_past_a_page_and_persist(self, tmp_path):
+        path = tmp_path / "dir.db"
+        with Pager(path) as pg:
+            pg.set_meta({"next_id": 5})
+            names = pg.directory.section("name")
+            for i in range(600):  # ~40 KiB of entries: ten pages' worth
+                names[(f"n{i:04d}",)] = {"i": i, "pad": "x" * 40}
+            pg.directory[("other", "k")] = [1, 2]
+            assert len(names) == 600 and len(pg.directory) == 601
+        with Pager(path) as pg:
+            names = pg.directory.section("name")
+            assert pg.get_meta() == {"next_id": 5}  # the root record is apart
+            assert names[("n0317",)] == {"i": 317, "pad": "x" * 40}
+            assert [key for key, _ in names.items()][:2] == [("n0000",), ("n0001",)]
+            assert ("other", "k") not in names and ("k",) in pg.directory.section("other")
+            del names[("n0317",)]
+            assert names.get(("n0317",)) is None and len(names) == 599
+            with pytest.raises(KeyError):
+                del names[("n0317",)]
+            pg.set_meta({"next_id": 6})  # must not lose the directory root
+        with Pager(path) as pg:
+            assert len(pg.directory) == 600 and pg.get_meta() == {"next_id": 6}
+
+    def test_structure_headers_are_directory_entries(self, tmp_path):
+        path = tmp_path / "hdr.db"
+        with Pager(path) as pg:
+            tree = BPlusTree(pg, "t")
+            table = HashFile(pg, "h", n_buckets=4)
+            tree.insert(1, b"one")
+            table.put("k", b"v")
+            assert pg.get_meta() == {}  # headers never touch the client record
+        with Pager(path) as pg:
+            assert sorted(pg.directory) == [("btree", "t"), ("hash", "h")]
+            assert pg.directory[("btree", "t")]["count"] == 1
+            BPlusTree(pg, "t").drop()
+            HashFile(pg, "h").drop()
+        with Pager(path) as pg:
+            assert list(pg.directory) == []
+            assert len(BPlusTree(pg, "t")) == 0  # a dropped name starts empty
+
     def test_eviction_under_small_cache(self, tmp_path):
         with Pager(tmp_path / "small.db", cache_pages=8) as pg:
             pages = [pg.allocate() for _ in range(64)]

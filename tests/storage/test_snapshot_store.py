@@ -148,7 +148,7 @@ def test_deltas_are_actually_written_and_folded(tmp_path):
         assert any(name.startswith("deeplens_snapshot_writes_total") for name in shown)
     with Catalog(tmp_path / "catalog", durability="flush") as catalog:
         for key in (("stats", "c"), ("hnsw", "c", "emb")):
-            base_off, _, head_off, _ = catalog.snapshots.refs()[key]
+            base_off, _, head_off, _ = catalog.snapshots.refs[key]
             assert head_off > base_off
         _assert_folded_equals_rebuilt(catalog)
 
@@ -224,8 +224,7 @@ class _Log:
 
 
 def _chain_bytes(store, key):
-    chain = store._chains[key]
-    return chain.base.length, chain.delta_bytes
+    return store.refs[key][1], store._delta_bytes[key]
 
 
 def test_policy_delta_while_chain_below_base_else_fresh_base(tmp_path):
@@ -233,16 +232,16 @@ def test_policy_delta_while_chain_below_base_else_fresh_base(tmp_path):
     rng = np.random.default_rng(0)
     key = ("log", "a")
     with BlobHeap(tmp_path / "s.heap", metrics=registry) as heap:
-        store = SnapshotStore(heap, metrics=registry)
+        store = SnapshotStore(heap, {}, metrics=registry)
         log = _Log(rng.integers(0, 1 << 40, 200).tolist())
         store.save(key, log)
         kinds = ["base"]
         for _ in range(60):
             for item in rng.integers(0, 1 << 40, 10).tolist():
                 log.append(item)
-            before = store._chains[key].base
+            before = store.refs[key][:2]
             store.save(key, log)
-            kinds.append("base" if store._chains[key].base != before else "delta")
+            kinds.append("base" if store.refs[key][:2] != before else "delta")
             base_bytes, delta_bytes = _chain_bytes(store, key)
             assert delta_bytes < base_bytes  # the invariant, after every save
         assert kinds[1] == "delta" and kinds.count("base") >= 3
@@ -255,8 +254,7 @@ def test_policy_delta_while_chain_below_base_else_fresh_base(tmp_path):
             assert counters["deeplens_snapshot_writes_total" + series] == kinds.count(kind)
         # a reopen folds the chain back and reads less than twice the base
         reads_before = registry.snapshot()["counters"]['deeplens_heap_read_bytes_total{store="blob"}']
-        reopened = SnapshotStore(heap)
-        reopened.attach(store.refs())
+        reopened = SnapshotStore(heap, store.refs)
         assert reopened.load(key, _Log.from_value).items == log.items
         read = registry.snapshot()["counters"]['deeplens_heap_read_bytes_total{store="blob"}'] - reads_before
         records = kinds[::-1].index("base") + 1
@@ -270,7 +268,7 @@ def test_full_only_clients_always_write_a_base(tmp_path):
 
     registry = MetricsRegistry()
     with BlobHeap(tmp_path / "s.heap") as heap:
-        store = SnapshotStore(heap, metrics=registry)
+        store = SnapshotStore(heap, {}, metrics=registry)
         for _ in range(3):
             store.save(("plain",), Plain())
         assert store.load(("plain",), dict) == {"n": 1}
@@ -283,7 +281,7 @@ def test_failed_write_is_followed_by_a_base(tmp_path):
     raised only the object's full state may be persisted next."""
     key = ("log", "a")
     with BlobHeap(tmp_path / "s.heap") as heap:
-        store = SnapshotStore(heap)
+        store = SnapshotStore(heap, {})
         log = _Log(range(500))
         store.save(key, log)
         log.append(1)
@@ -301,23 +299,24 @@ def test_failed_write_is_followed_by_a_base(tmp_path):
 
 def test_broken_chain_is_a_positioned_corruption_error(tmp_path):
     with BlobHeap(tmp_path / "s.heap") as heap:
-        store = SnapshotStore(heap)
+        store = SnapshotStore(heap, {})
         first, second = _Log(range(300)), _Log(range(300, 600))
         store.save(("log", "a"), first)
         store.save(("log", "b"), second)
         first.append(7)
         store.save(("log", "a"), first)
-        refs = store.refs()
+        refs = store.refs
         # a's head spliced onto b's base: the walk must not accept it
-        crossed = SnapshotStore(heap)
-        crossed.attach({("log", "b"): refs[("log", "b")][:2] + refs[("log", "a")][2:]})
+        crossed = SnapshotStore(
+            heap, {("log", "b"): refs[("log", "b")][:2] + refs[("log", "a")][2:]}
+        )
         with pytest.raises(CorruptionError) as excinfo:
             crossed.load(("log", "b"), _Log.from_value)
         assert excinfo.value.file == heap.path
         assert excinfo.value.offset is not None
         seen = []
         assert crossed.load(("log", "b"), _Log.from_value, on_corrupt=seen.append) is None
-        assert len(seen) == 1 and ("log", "b") not in crossed
+        assert len(seen) == 1 and ("log", "b") not in crossed.refs
 
 
 # -- (c) a damaged delta: quarantine, rebuild, clean next session ----------
@@ -342,8 +341,8 @@ def _seed_with_deltas(workdir):
             for patch in _patches(3, start=40 + 3 * round_):
                 db.collection("c").add(patch)
             db.catalog.sync()
-        refs = dict(db.catalog.snapshots.refs())
-        refs.update(db.catalog.segments.snapshots.refs())
+        refs = dict(db.catalog.snapshots.refs.items())
+        refs.update(db.catalog.segments.snapshots.refs.items())
     for key in (("stats", "c"), ("hnsw", "c", "emb"), ("segment", "c")):
         assert refs[key][2] > refs[key][0], f"{key} has no delta to damage"
     return refs
@@ -398,7 +397,7 @@ def test_scrub_reports_a_damaged_delta_without_healing_it(tmp_path):
             ]
             assert [e["source"] for e in chain_errors] == ["snapshot:stats[c]"]
             assert chain_errors[0]["offset"] == refs[("stats", "c")][2]
-            assert ("stats", "c") in db.catalog.snapshots
+            assert ("stats", "c") in db.catalog.snapshots.refs
             clean_chain_records = report["snapshot_records_checked"]
         assert clean_chain_records >= 4  # the undamaged chains were walked
         assert any(
