@@ -101,8 +101,8 @@ def test_metadata_scan(tmp_path):
     with DeepLens(tmp_path / "db") as db:
         db.materialize(build_patches(N_PATCHES), "patches")
         collection = db.collection("patches")
-        # seal the segment's tail block and warm both paths once so
-        # neither timing pays one-off build costs
+        # load the segment and warm both paths once so neither timing
+        # pays one-off build costs
         collection.metadata_block_stats()
         sum(1 for _ in collection.scan(load_data=False))
 

@@ -76,7 +76,7 @@ The minimal end-to-end DeepLens workflow on synthetic CCTV footage:
 14. durability & recovery: every catalog mutation is an atomic
    multi-file commit through a checksummed write-ahead journal — a
    crash at any point reopens in the last committed state. A commit
-   costs what it changed: statistics, the metadata segment's open tail
+   costs what it changed: statistics, the metadata segment's open block
    and HNSW graphs persist as a base snapshot plus small deltas
    (``deeplens_snapshot_writes_total{structure, kind}``), not as a
    rewrite per commit. Pages, blob records, and metadata blocks carry

@@ -252,10 +252,10 @@ class MaterializedCollection:
         """The patches matching ``expr``, filtered on the segment's
         columns and materialized last.
 
-        Per column batch (a sealed block, or the open tail) only the
+        Per column batch (one segment block, sealed or open) only the
         columns ``expr`` names are decoded and masked
-        (:meth:`~repro.core.expressions.Expr.mask`); sealed blocks whose
-        zone maps prove no row can match are skipped unread. Rows are
+        (:meth:`~repro.core.expressions.Expr.mask`); blocks whose zone
+        maps prove no row can match are skipped unread. Rows are
         built for the survivors only: ``load_data=False`` turns their
         segment rows into patches bit-identical to
         ``Patch.from_record(..., with_data=False)`` (empty data array,
@@ -335,17 +335,17 @@ class MaterializedCollection:
                     raise
                 self.catalog._quarantine_segment(self.name, exc)
 
-    def metadata_block_stats(self, expr=None) -> tuple[int, int, int]:
-        """(kept blocks, total sealed blocks, open tail rows) a
+    def metadata_block_stats(self, expr=None) -> tuple[int, int]:
+        """(kept blocks, total blocks — the open one included) a
         zone-mapped metadata scan of ``expr`` would read — the planner's
         block-skipping estimate."""
         return self._metadata_segment().block_stats(expr)
 
     def attr_min_max(self, attr: str) -> tuple | None:
         """(min, max) of a metadata attribute answered purely from the
-        segment's zone maps and in-memory tail — no sealed block is
-        decoded. ``None`` when not provable from summaries (mixed-type
-        column, or no non-None value); callers fall back to a scan."""
+        segment's block zone maps — no block is decoded. ``None`` when
+        not provable from summaries (mixed-type column, or no non-None
+        value); callers fall back to a scan."""
         return self._metadata_segment().attr_min_max(attr)
 
     def _segment_rows(self, ids: list[int], attrs=None) -> list:

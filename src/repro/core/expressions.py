@@ -344,6 +344,15 @@ class AlwaysTrue(Expr):
         return "TRUE"
 
 
+def conjunction(conjuncts: list[Expr | None]) -> Expr | None:
+    """The AND of the non-None ``conjuncts`` in order: one of them as it
+    is, None for none."""
+    kept = [conjunct for conjunct in conjuncts if conjunct is not None]
+    if len(kept) > 1:
+        return And(*kept)
+    return kept[0] if kept else None
+
+
 def _short_circuit(
     children: tuple[Expr, ...], columns, rows, *, stop_on: bool
 ) -> np.ndarray:

@@ -33,6 +33,7 @@ from repro.core.expressions import (
     Not,
     Or,
     Predicate,
+    conjunction,
 )
 from repro.core.patch import Patch
 from repro.errors import QueryError
@@ -569,9 +570,7 @@ def filter_chain(
     while isinstance(node, Filter):
         filters.append(node)
         node = node.child
-    exprs = [f.expr for f in reversed(filters)]
-    combined = And(*exprs) if len(exprs) > 1 else (exprs[0] if exprs else None)
-    return filters, node, combined
+    return filters, node, conjunction([f.expr for f in reversed(filters)])
 
 
 def base_collection(node: LogicalPlan) -> str | None:

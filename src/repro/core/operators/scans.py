@@ -243,6 +243,19 @@ class AnnTopKScan(_IndexScan):
         return iter([patch_id for _, patch_id in nearest])
 
 
+def vector_distance(patch: Patch, attr: str, query: np.ndarray) -> float | None:
+    """Euclidean distance from the patch's vector — metadata ``attr``, or
+    its data payload for ``"data"`` — to ``query``; None when the patch
+    has no vector of the query's shape."""
+    vector = patch.data if attr == "data" else patch.metadata.get(attr)
+    if vector is None:
+        return None
+    v = np.asarray(vector, dtype=np.float64).ravel()
+    if v.shape != query.shape:
+        return None
+    return float(np.sqrt(((v - query) ** 2).sum()))
+
+
 class AnnTopKExact(Operator):
     """Exact top-k similarity over any child: compute every distance and
     keep the ``k`` smallest (pipeline breaker) — the fallback access
@@ -258,21 +271,10 @@ class AnnTopKExact(Operator):
         self.query = np.asarray(query, dtype=np.float64).ravel()
         self.k = k
 
-    def _distance(self, patch: Patch) -> float | None:
-        vector = (
-            patch.data if self.attr == "data" else patch.metadata.get(self.attr)
-        )
-        if vector is None:
-            return None
-        v = np.asarray(vector, dtype=np.float64).ravel()
-        if v.shape != self.query.shape:
-            return None
-        return float(np.sqrt(((v - self.query) ** 2).sum()))
-
     def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
         scored: list[tuple[float, int, Row]] = []
         for position, row in enumerate(rows_of(self.child, size)):
-            distance = self._distance(row[0])
+            distance = vector_distance(row[0], self.attr, self.query)
             if distance is not None:
                 # position breaks ties deterministically (rows don't sort)
                 scored.append((distance, position, row))

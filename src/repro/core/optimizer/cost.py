@@ -52,14 +52,12 @@ class CostModel:
     index_lookup: float = 1.2e-4
     #: per-result fetch from the heap
     fetch_per_patch: float = 1.2e-4
-    #: reading one column of one sealed metadata-segment block (block
-    #: read + checksum amortized over its columns, inflate, parse, one
+    #: reading one column of one metadata-segment block (for a sealed
+    #: block: block read + checksum amortized over its columns, inflate,
+    #: parse; for the open one: packing its in-memory values; then one
     #: vectorized predicate pass) — dearer than an index probe, which is
     #: why a point lookup still goes to its index
     segment_column_decode: float = 1.5e-4
-    #: reading one row of a segment's open tail, which is still
-    #: row-format (one serialized dict per row) until it seals
-    segment_tail_row: float = 1.3e-5
     #: building one data-less patch for a row that survived the column
     #: filter (its other columns' values, the metadata dict, the Patch)
     segment_row_materialize: float = 8e-6
@@ -71,31 +69,26 @@ class CostModel:
     def full_scan(self, n: int) -> float:
         return n * (self.scan_per_patch + self.filter_per_patch)
 
-    def columns_pass(self, blocks: int, columns: int, tail_rows: int) -> float:
-        """Decoding and masking ``columns`` columns of ``blocks`` sealed
-        segment blocks, plus reading the open tail — no row is built."""
-        return (
-            blocks * columns * self.segment_column_decode
-            + tail_rows * self.segment_tail_row
-        )
+    def columns_pass(self, blocks: int, columns: int) -> float:
+        """Decoding and masking ``columns`` columns of ``blocks`` segment
+        blocks (the open one counts as a block) — no row is built."""
+        return blocks * columns * self.segment_column_decode
 
-    def metadata_scan(
-        self, blocks: int, columns: int, tail_rows: int, survivors: float
-    ) -> float:
+    def metadata_scan(self, blocks: int, columns: int, survivors: float) -> float:
         """Metadata-only scan: a columns pass, then data-less patches
         for the ``survivors`` rows that passed it."""
         return (
-            self.columns_pass(blocks, columns, tail_rows)
+            self.columns_pass(blocks, columns)
             + survivors * self.segment_row_materialize
         )
 
     def late_materialization(
-        self, blocks: int, columns: int, tail_rows: int, survivors: float
+        self, blocks: int, columns: int, survivors: float
     ) -> float:
         """A columns pass, then a heap fetch (read, inflate, parse the
         pixel record) for each surviving row only."""
         return (
-            self.columns_pass(blocks, columns, tail_rows)
+            self.columns_pass(blocks, columns)
             + survivors * self.fetch_per_patch
         )
 

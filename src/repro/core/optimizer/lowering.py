@@ -42,6 +42,7 @@ from repro.core.operators import (
     Select,
     SwapSides,
     instrument,
+    vector_distance,
 )
 from repro.core.optimizer.cardinality import CardinalityEstimator
 from repro.core.optimizer.optimizer import (
@@ -609,19 +610,13 @@ def _default_features(patch: Patch) -> np.ndarray:
 
 
 def _distance_key(attr: str, vector: tuple) -> Callable[[Patch], float]:
-    """Sort key for ``ORDER BY similarity``: Euclidean distance from the
-    patch's vector (under ``attr``, or its data payload) to the query.
-    Rows without a comparable vector sort last."""
+    """Sort key for ``ORDER BY similarity``: :func:`vector_distance` to
+    the query; rows without a comparable vector sort last."""
     query = np.asarray(vector, dtype=np.float64).ravel()
 
     def key(patch: Patch) -> float:
-        value = patch.data if attr == "data" else patch.metadata.get(attr)
-        if value is None:
-            return float("inf")
-        v = np.asarray(value, dtype=np.float64).ravel()
-        if v.shape != query.shape:
-            return float("inf")
-        return float(np.sqrt(((v - query) ** 2).sum()))
+        distance = vector_distance(patch, attr, query)
+        return float("inf") if distance is None else distance
 
     return key
 

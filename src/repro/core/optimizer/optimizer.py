@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from repro.core.catalog import Catalog
 from repro.core.executor import ExecutionPlan
 from repro.core.metrics import MetricsRegistry, NULL_REGISTRY
-from repro.core.expressions import And, Comparison, Expr, extract_bounds
+from repro.core.expressions import Comparison, Expr, conjunction, extract_bounds
 from repro.core.logical import expr_attrs
 from repro.core.operators import (
     CollectionScan,
@@ -265,7 +265,7 @@ class Optimizer:
             )
         structural, columns, opaque = _split_opaque(expr)
         if structural is not None or not load_data:
-            kept, total, tail = collection.metadata_block_stats(structural)
+            kept, total = collection.metadata_block_stats(structural)
             # rows the scan materializes: an opaque conjunct filters
             # above it, after the fact
             survivors = (
@@ -285,13 +285,11 @@ class Optimizer:
             if load_data:
                 kind = "late-materialization"
                 cost = self.cost.late_materialization(
-                    kept, len(columns), tail, survivors
+                    kept, len(columns), survivors
                 )
             else:
                 kind = "zone-map-scan" if kept < total else "metadata-scan"
-                cost = self.cost.metadata_scan(
-                    kept, len(columns), tail, survivors
-                )
+                cost = self.cost.metadata_scan(kept, len(columns), survivors)
             if not load_data or cost < full_cost:
                 scan = MetadataScan(collection, structural, load_data=load_data)
                 candidates.append(
@@ -329,7 +327,7 @@ class Optimizer:
         out: list[tuple[PlanChoice, Operator]] = []
         for position, conjunct in enumerate(conjuncts):
             rest = [c for i, c in enumerate(conjuncts) if i != position]
-            residual = _conjunction(rest)
+            residual = conjunction(rest)
             if isinstance(conjunct, Comparison) and conjunct.op == "==":
                 for kind in ("hash", "btree"):
                     if not self.catalog.has_index(collection_name, conjunct.attr, kind):
@@ -368,7 +366,7 @@ class Optimizer:
             ):
                 attr = _attr_of(conjunct)
                 scan = IndexRangeScan(collection, attr, lo, hi, load_data=load_data)
-                combined = _combine(bound_residual, residual)
+                combined = conjunction([bound_residual, residual])
                 if combined is not None:
                     scan = Select(scan, combined)
                 range_estimate = estimator.selectivity(
@@ -584,13 +582,7 @@ def _split_opaque(
         else:
             structural.append(conjunct)
             columns |= attrs
-    return _conjunction(structural), sorted(columns), _conjunction(opaque)
-
-
-def _conjunction(conjuncts: list[Expr]) -> Expr | None:
-    if len(conjuncts) > 1:
-        return And(*conjuncts)
-    return conjuncts[0] if conjuncts else None
+    return conjunction(structural), sorted(columns), conjunction(opaque)
 
 
 def _attr_of(expr: Expr) -> str:
@@ -600,10 +592,3 @@ def _attr_of(expr: Expr) -> str:
         return expr.attr  # type: ignore[attr-defined]
     return ""
 
-
-def _combine(a: Expr | None, b: Expr | None) -> Expr | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return And(a, b)

@@ -221,8 +221,9 @@ class DeepLens:
     before-images and truncating the append-only heaps back to their
     recorded ends — so the store reopens in exactly the pre-mutation
     state (all-or-nothing, never a mix). A commit writes what changed:
-    statistics, the metadata segment's open tail and HNSW graphs persist
-    as a base snapshot plus a chain of deltas through one
+    statistics, the metadata segment's descriptor (its open block's rows
+    packed like a sealed block's) and HNSW graphs persist as a base
+    snapshot plus a chain of deltas through one
     :class:`~repro.storage.snapshot_store.SnapshotStore` (counted in
     ``deeplens_snapshot_writes_total{structure, kind}``). Every pager
     page, blob-heap record, and metadata-segment block also carries a

@@ -5,15 +5,19 @@ interleaved — so even ``load_data=False`` readers used to pay the full
 zlib decompress + record parse per patch. This module is the other half
 of the storage split (Deep Lake's tensor-layout insight applied to the
 patch store): every collection keeps a **columnar segment** beside the
-heap holding only the metadata, written in blocks of ``BLOCK_ROWS``
-rows with
+heap holding only the metadata, in blocks of ``BLOCK_ROWS`` rows with
 
-* one compressed column per attribute (values + a presence mask, so a
-  missing key and an explicit ``None`` stay distinct — metadata-only
-  reads must be bit-identical to ``Patch.from_record``), and
+* one column per attribute (values + a presence mask, so a missing key
+  and an explicit ``None`` stay distinct — metadata-only reads must be
+  bit-identical to ``Patch.from_record``), and
 * a per-block, per-attribute min/max **zone map** used for block
   skipping: a range or equality predicate whose value band provably
   misses a block never decompresses it.
+
+Every block has this one layout. Full blocks are *sealed*: their
+columns are packed into one immutable blob. The newest rows form the
+*open* block: the same columns and zone maps, grown one row at a time
+in memory and packed into a blob when the block fills.
 
 The segment lives in its *own* heap file (``metadata.seg``) — a
 metadata-only scan performs zero reads against the patch heap, which is
@@ -29,6 +33,7 @@ pruning rather than risk dropping a matching row.
 
 from __future__ import annotations
 
+import copy
 import threading
 import zlib
 from bisect import bisect_left
@@ -68,7 +73,7 @@ def _value_group(value: Any) -> str | None:
 
 @dataclass
 class ZoneMap:
-    """Min/max summary of one attribute over one sealed block."""
+    """Min/max summary of one attribute over one block."""
 
     lo: Any = None
     hi: Any = None
@@ -79,6 +84,24 @@ class ZoneMap:
     n_values: int = 0
     #: True when at least one row reads the attribute as None/missing
     has_none: bool = False
+
+    def fold(self, value: Any) -> None:
+        """Summarize one more row (``None``: missing or explicit None)."""
+        if value is None:
+            self.has_none = True
+            return
+        first = self.n_values == 0
+        self.n_values += 1
+        group = _value_group(value)
+        if group is None or (not first and group != self.group):
+            # mixed or unorderable: no bounds, for good
+            self.group = self.lo = self.hi = None
+        else:
+            self.group = group
+            if first or value < self.lo:
+                self.lo = value
+            if first or value > self.hi:
+                self.hi = value
 
     def to_value(self) -> list:
         return [self.lo, self.hi, self.group, self.n_values, self.has_none]
@@ -99,24 +122,8 @@ def zone_of(values: list, present: list[bool]) -> ZoneMap:
     """Summarize one column of a block (``present[i]`` False means the
     attribute was missing from row ``i``'s metadata)."""
     zone = ZoneMap()
-    mixed = False
     for value, is_present in zip(values, present):
-        if not is_present or value is None:
-            zone.has_none = True
-            continue
-        zone.n_values += 1
-        group = _value_group(value)
-        if group is None or (zone.group is not None and group != zone.group):
-            mixed = True
-            continue
-        zone.group = group
-        if zone.lo is None or value < zone.lo:
-            zone.lo = value
-        if zone.hi is None or value > zone.hi:
-            zone.hi = value
-    if mixed:
-        zone.group = None
-        zone.lo = zone.hi = None
+        zone.fold(value if is_present else None)
     return zone
 
 
@@ -175,7 +182,7 @@ def _between_may_match(zone: ZoneMap, low: Any, high: Any) -> bool:
 
 
 def block_may_match(zones: dict[str, ZoneMap], expr: Any) -> bool:
-    """Zone-map test for one sealed block: False means *no* row in the
+    """Zone-map test for one block: False means *no* row in the
     block can satisfy ``expr``. Only top-level conjuncts of the two
     statically analyzable shapes (comparisons, BETWEEN) prune; every
     other conjunct — OR, NOT, opaque predicates — conservatively keeps
@@ -198,18 +205,32 @@ def block_may_match(zones: dict[str, ZoneMap], expr: Any) -> bool:
     return True
 
 
+#: values no caller can mutate: handed out as they are
+_ATOMS = (type(None), bool, int, float, str, bytes)
+
+
+def _owned(value: Any) -> Any:
+    """``value``, or a deep copy of it when a caller could mutate it."""
+    if isinstance(value, _ATOMS):
+        return value
+    if isinstance(value, tuple):  # lineage, boxes: far cheaper than deepcopy
+        return tuple([_owned(item) for item in value])
+    return copy.deepcopy(value)
+
+
 def _pack_values(values: list) -> list:
     """Typed encoding of one value run. Homogeneous runs — the common
     case for a column, and for each ``ImgRef`` field — become one
     vector (an ndarray, or a joined string plus lengths) so decode is a
     single serializer value instead of a tagged scalar per row; anything
-    mixed falls back to the general per-value encoding."""
+    mixed falls back to the general per-value encoding. The run shares
+    no mutable object with ``values``."""
     kinds = set(map(type, values))
     if kinds == {int}:
         try:
             return ["i", np.array(values, dtype=np.int64)]
         except OverflowError:
-            return ["o", list(values)]
+            return ["o", list(values)]  # ints are atoms
     if kinds == {float}:
         return ["f", np.array(values, dtype=np.float64)]
     if kinds == {str}:
@@ -234,7 +255,7 @@ def _pack_values(values: list) -> list:
                 _pack_values([value[i] for value in values])
                 for i in range(width)
             ]]
-    return ["o", list(values)]
+    return ["o", [_owned(value) for value in values]]
 
 
 def _unpack_values(packed: list, positions: list[int] | None = None) -> list:
@@ -260,12 +281,19 @@ def _unpack_values(packed: list, positions: list[int] | None = None) -> list:
     return array.tolist()  # "i"/"f": back to plain int/float
 
 
-def _pack_column(values: list, present: list[bool]) -> bytes:
-    """One column as bytes: ``[mask, typed values]`` serialized, zlib'd
-    when it pays. The mask is None when every row carries the attribute
-    (the common case for schema attrs — saves the per-row byte)."""
-    mask = None if all(present) else [1 if p else 0 for p in present]
-    raw = serialization.dumps([mask, _pack_values(values)], compress_arrays=False)
+def _pack_column(values: list, present: list[bool], sealed: bool) -> bytes | list:
+    """One column: ``[mask, typed values]``. The mask is None when every
+    row carries the attribute (the common case for schema attrs — saves
+    the per-row byte). In a ``sealed`` block it is serialized on its own
+    and zlib'd when that pays, so a reader inflates only the columns it
+    asks for; a descriptor is serialized and compressed whole."""
+    column = [
+        None if all(present) else [1 if p else 0 for p in present],
+        _pack_values(values),
+    ]
+    if not sealed:
+        return column
+    raw = serialization.dumps(column, compress_arrays=False)
     if len(raw) >= COLUMN_COMPRESS_MIN:
         squeezed = zlib.compress(raw, 6)
         if len(squeezed) < len(raw):
@@ -281,11 +309,51 @@ def _load_column(blob: bytes) -> tuple[list | None, list]:
     return mask, packed
 
 
+def _take(column: tuple[list | None, list], positions) -> tuple[list | None, list]:
+    """A (presence mask, typed run) column restricted to ``positions``
+    (the whole column for ``None``)."""
+    if positions is None:
+        return column
+    mask, run = column
+    if mask is not None:
+        mask = [mask[i] for i in positions]
+    return mask, _take_run(run, positions)
+
+
+def _take_run(run: list, positions) -> list:
+    """A typed run restricted to ``positions``. Vectors are indexed in
+    place; strings and general runs (the open block's) are typed anew."""
+    kind = run[0]
+    if kind == "t":
+        return ["t", run[1], [_take_run(part, positions) for part in run[2]]]
+    if kind in ("i", "f", "a"):
+        return [kind, run[1][positions]]
+    return _pack_values(_unpack_values(run, positions))
+
+
+def _pack_rows(ids, refs: list[tuple], columns: dict, sealed: bool) -> dict:
+    """The stored form of a run of rows — a sealed block's blob, and the
+    open rows a descriptor carries: the ids, one typed run of ``ImgRef``
+    tuples, and one column (:func:`_pack_column`) per attribute some row
+    carries, in first-appearance order. ``columns`` maps attr ->
+    (presence, values), one entry per row."""
+    return {
+        "ids": np.asarray(ids, dtype=np.int64),
+        "refs": _pack_values(refs),
+        "cols": {
+            attr: _pack_column(values, present, sealed)
+            for attr, (present, values) in columns.items()
+            if any(present)
+        },
+    }
+
+
 @dataclass
 class _Block:
-    """One sealed, immutable run of rows: a blob ref plus its summary."""
+    """One block's summary: where its blob is (``ref``; None for the open
+    block, which lives in memory), its id range and its zone maps."""
 
-    ref: BlobRef
+    ref: BlobRef | None
     n_rows: int
     min_id: int
     max_id: int
@@ -312,62 +380,122 @@ class _Block:
         )
 
 
+class _OpenBlock:
+    """The newest rows: a sealed block's content — ids, ``ImgRef``
+    tuples, per-attribute columns and zone maps — held in memory and
+    grown one row at a time. Each column is a (presence, general run)
+    pair, the shape a stored column loads into before it is restricted
+    to a batch's rows. Rows below ``n_rows`` never change, so a batch
+    over them stays valid while appends continue."""
+
+    def __init__(self, capacity: int) -> None:
+        self.ids = np.empty(capacity, dtype=np.int64)
+        self.n_rows = 0
+        self.refs: list[tuple] = []
+        #: attr -> (presence, ["o", values]), one entry per row
+        self.columns: dict[str, tuple[list[bool], list]] = {}
+        self.zones: dict[str, ZoneMap] = {}
+
+    def append(self, patch_id: int, ref_value: tuple, metadata: dict) -> None:
+        n = self.n_rows
+        for attr in metadata:
+            if attr not in self.columns:
+                self.columns[attr] = ([False] * n, ["o", [None] * n])
+                self.zones[attr] = ZoneMap(has_none=n > 0)
+        for attr, (present, (_, values)) in self.columns.items():
+            # the one copy: later changes to the caller's patch stay out
+            value = _owned(metadata.get(attr))
+            present.append(attr in metadata)
+            values.append(value)
+            self.zones[attr].fold(value)
+        self.refs.append(tuple(ref_value))
+        self.ids[n] = patch_id
+        self.n_rows = n + 1
+
+    def summary(self, ref: BlobRef | None = None) -> _Block:
+        ids, n = self.ids, self.n_rows
+        return _Block(ref, n, int(ids[0]), int(ids[n - 1]), self.zones)
+
+    def pack(self, start: int = 0, *, sealed: bool = False) -> dict:
+        """Rows ``start`` onwards in their stored form."""
+        return _pack_rows(
+            self.ids[start : self.n_rows],
+            self.refs[start:],
+            {
+                attr: (present[start:], values[start:])
+                for attr, (present, (_, values)) in self.columns.items()
+            },
+            sealed,
+        )
+
+
 #: one segment row: (patch_id, img_ref value tuple, metadata dict)
 Row = tuple[int, tuple, dict]
 
 
 class ColumnBatch:
-    """The rows of one sealed block — or of the open tail — column-wise.
+    """The rows of one block — sealed or open — column-wise.
 
     ``ids`` holds the patch ids. A column is decoded the first time it
     is asked for (a filter on ``frameno`` never inflates ``label``) and
-    stays in its stored typed run: :meth:`numeric` and :meth:`strings`
-    hand a vectorized predicate one array for the whole batch,
-    :meth:`values` is the general one-Python-value-per-row form, and
-    :meth:`rows` builds full rows for just the positions asked for.
-    Tail rows (and a block cut by ``after_id``) are not columnar; such a
-    batch answers the same calls from its row dicts.
+    stays a typed run: :meth:`numeric` and :meth:`strings` hand a
+    vectorized predicate one array for the whole batch, :meth:`values`
+    is the general one-Python-value-per-row form, and :meth:`rows`
+    builds full rows for just the positions asked for. ``stored`` is a
+    block in its stored form (:func:`_pack_rows`), except that the open
+    block's columns are already loaded. A batch may cover some rows of
+    its block only (``positions``; always given for the open block, see
+    :meth:`take`), and then decodes just those. No value handed out is
+    shared with the segment.
     """
 
     def __init__(
         self,
         segment: "CollectionSegment",
+        stored: dict,
         ids: np.ndarray,
         *,
-        block: "_Block | None" = None,
-        stored: dict | None = None,
-        rows: list[Row] | None = None,
+        positions=None,
+        block: _Block | None = None,
     ) -> None:
         self._segment = segment
-        self.ids = ids
-        self._block = block
         self._stored = stored
-        self._rows = rows
+        self.ids = ids
+        #: the block rows this batch covers (None: all of them)
+        self._positions = positions
+        #: a sealed block's summary, to position decode errors
+        self._block = block
         #: attr -> (presence mask or None, typed run), decoded on demand
         self._columns: dict[str, tuple[list | None, list]] = {}
         self._strings: dict[str, np.ndarray] = {}
+        self._refs: list | None = None
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def take(self, positions) -> "ColumnBatch":
+        """The rows at ``positions`` of this batch as a batch of their
+        own, decoding nothing yet."""
+        ids = self.ids[positions]
+        if self._positions is not None:
+            positions = [self._positions[i] for i in positions]
+        return ColumnBatch(
+            self._segment, self._stored, ids, positions=positions, block=self._block
+        )
 
     def _column(self, attr: str) -> tuple[list | None, list]:
         column = self._columns.get(attr)
         if column is not None:
             return column
-        if self._rows is not None:
-            metas = [metadata for _, _, metadata in self._rows]
-            present = [attr in metadata for metadata in metas]
-            column = (
-                None if all(present) else present,
-                _pack_values([metadata.get(attr) for metadata in metas]),
-            )
+        stored = self._stored["cols"].get(attr)
+        if stored is None:  # no row of this block carries the attribute
+            column = ([0] * len(self), ["n", len(self)])
         else:
-            blob = self._stored["cols"].get(attr)
-            if blob is None:  # no row of this block carries the attribute
-                column = ([0] * len(self), ["n", len(self)])
-            else:
-                with self._segment._decoding(self._block):
-                    column = _load_column(blob)
+            with self._segment._decoding(self._block):
+                if isinstance(stored, bytes):  # a sealed block's column
+                    stored = _load_column(stored)
+                column = _take(stored, self._positions)
+            if self._block is not None:
                 self._segment._metric_columns.inc()
         self._columns[attr] = column
         return column
@@ -394,7 +522,7 @@ class ColumnBatch:
 
     def values(self, attr: str, positions=None) -> list:
         """One Python value per row (``None`` where the attribute is
-        missing), or per entry of ``positions``. Read-only."""
+        missing), or per entry of ``positions``."""
         return _unpack_values(self._column(attr)[1], positions)
 
     def rows(self, positions=None, attrs=None) -> list[Row]:
@@ -402,43 +530,23 @@ class ColumnBatch:
         restricted to ``attrs`` when given (key order unchanged)."""
         if positions is not None and len(positions) == 0:
             return []
-        if self._rows is not None:
-            rows = (
-                self._rows
-                if positions is None
-                else [self._rows[i] for i in positions]
-            )
-            if attrs is not None:
-                rows = [
-                    (patch_id, ref_value,
-                     {k: v for k, v in metadata.items() if k in attrs})
-                    for patch_id, ref_value, metadata in rows
-                ]
-        else:
-            with self._segment._decoding(self._block):
-                rows = self._stored_rows(positions, attrs)
-        self._segment._metric_rows.inc(len(rows))
-        return rows
-
-    def _stored_rows(self, positions, attrs) -> list[Row]:
+        if positions is not None and self._positions is not None:
+            # part of a block already (the open one, a cut): pack or
+            # restrict only the rows asked for
+            return self.take(positions).rows(attrs=attrs)
+        with self._segment._decoding(self._block):
+            if self._refs is None:
+                self._refs = _take((None, self._stored["refs"]), self._positions)[1]
+            refs = _unpack_values(self._refs, positions)
+            unpacked = []
+            for attr in self._stored["cols"]:
+                if attrs is not None and attr not in attrs:
+                    continue
+                mask, run = self._column(attr)
+                if mask is not None and positions is not None:
+                    mask = [mask[i] for i in positions]
+                unpacked.append((attr, mask, _unpack_values(run, positions)))
         ids = (self.ids if positions is None else self.ids[positions]).tolist()
-        shape, width, packed = self._stored["refs"]
-        if shape == "cols":
-            runs = [_unpack_values(run, positions) for run in packed]
-            refs = list(zip(*runs)) if width else [()] * len(ids)
-        else:
-            refs = [
-                tuple(packed[i])
-                for i in (range(len(packed)) if positions is None else positions)
-            ]
-        unpacked = []
-        for attr in self._stored["attrs"]:
-            if attrs is not None and attr not in attrs:
-                continue
-            mask, run = self._column(attr)
-            if mask is not None and positions is not None:
-                mask = [mask[i] for i in positions]
-            unpacked.append((attr, mask, _unpack_values(run, positions)))
         rows: list[Row] = []
         for i, (patch_id, ref_value) in enumerate(zip(ids, refs)):
             metadata = {}
@@ -446,17 +554,18 @@ class ColumnBatch:
                 if mask is None or mask[i]:
                     metadata[attr] = values[i]
             rows.append((patch_id, ref_value, metadata))
+        self._segment._metric_rows.inc(len(rows))
         return rows
 
 
 class CollectionSegment:
-    """One collection's columnar metadata: sealed blocks plus an open
-    tail of rows not yet worth a block.
+    """One collection's columnar metadata: sealed blocks plus the open
+    block the newest rows go to, all read through :class:`ColumnBatch`.
 
-    Tail rows are kept pre-serialized so appends snapshot the metadata
-    exactly like ``Patch.to_record`` does — a caller mutating the patch
-    after ``add`` cannot desynchronize the two stores — and so scans
-    hand out fresh objects, never shared mutable state.
+    The open block copies each mutable metadata value once, at
+    :meth:`append` — a caller mutating the patch after ``add`` cannot
+    desynchronize the segment from the patch record — and every read
+    packs fresh runs, so scans never hand out state the segment holds.
     """
 
     def __init__(
@@ -477,11 +586,11 @@ class CollectionSegment:
             metrics = NULL_REGISTRY
         self._metric_blocks_scanned = metrics.counter(
             "deeplens_zonemap_blocks_scanned_total",
-            "sealed metadata blocks decoded by scans",
+            "metadata blocks (sealed or open) read by scans",
         )
         self._metric_blocks_skipped = metrics.counter(
             "deeplens_zonemap_blocks_skipped_total",
-            "sealed metadata blocks zone-map pruning never read",
+            "metadata blocks (sealed or open) zone-map pruning never read",
         )
         self._metric_columns = metrics.counter(
             "deeplens_segment_columns_decoded_total",
@@ -492,130 +601,111 @@ class CollectionSegment:
             "rows built as Python objects from the metadata segment",
         )
         self._blocks: list[_Block] = []
-        #: (patch_id, ref value tuple, serialized metadata)
-        self._tail: list[tuple[int, tuple, bytes]] = []
-        #: tail rows the persisted descriptor chain already holds — the
+        self._open = _OpenBlock(self.block_rows)
+        #: open rows the persisted descriptor chain already holds — the
         #: snapshot store's delta is everything after them. ``None`` when
         #: the sealed blocks changed since the last persist (a seal, a
         #: rebuild, a fresh segment): only a full descriptor can follow
-        self._persisted_tail: int | None = None
+        self._persisted: int | None = None
         self._lock = threading.RLock()
         self.dirty = False
 
     @property
     def row_count(self) -> int:
         with self._lock:
-            return sum(b.n_rows for b in self._blocks) + len(self._tail)
+            return sum(b.n_rows for b in self._blocks) + self._open.n_rows
 
     # -- writes ---------------------------------------------------------
 
     def append(self, patch_id: int, ref_value: tuple, metadata: dict) -> None:
         """Add one row (metadata already normalized by the caller)."""
-        payload = serialization.dumps(metadata, compress_arrays=False)
         with self._lock:
-            self._tail.append((patch_id, tuple(ref_value), payload))
-            if len(self._tail) >= self.block_rows:
-                self._seal_tail()
+            self._open.append(patch_id, ref_value, metadata)
+            if self._open.n_rows >= self.block_rows:
+                self._seal()
             self.dirty = True
 
     def rebuild(self, rows: Iterable[tuple[int, tuple, dict]]) -> None:
-        """Replace all contents (backfill of a pre-segment catalog, or a
-        collection re-materialization)."""
+        """Replace all contents — sealed blocks and the open one — with
+        ``rows`` (a segment rebuilt from the blob heap after quarantine
+        or for a pre-segment catalog, or a collection
+        re-materialization)."""
         with self._lock:
             self._blocks = []
-            self._tail = []
-            self._persisted_tail = None
+            self._open = _OpenBlock(self.block_rows)
+            self._persisted = None
             self.dirty = True
             for patch_id, ref_value, metadata in rows:
                 self.append(patch_id, ref_value, metadata)
 
-    def _seal_tail(self) -> None:
-        # caller holds the lock
-        rows = [
-            (patch_id, ref_value, serialization.loads(payload))
-            for patch_id, ref_value, payload in self._tail
-        ]
-        attrs: list[str] = []
-        for _, _, metadata in rows:
-            for attr in metadata:
-                if attr not in attrs:
-                    attrs.append(attr)
-        columns: dict[str, bytes] = {}
-        zones: dict[str, ZoneMap] = {}
-        for attr in attrs:
-            present = [attr in metadata for _, _, metadata in rows]
-            values = [metadata.get(attr) for _, _, metadata in rows]
-            columns[attr] = _pack_column(values, present)
-            zones[attr] = zone_of(values, present)
-        ref_values = [ref_value for _, ref_value, _ in rows]
-        width = len(ref_values[0])
-        if all(len(ref_value) == width for ref_value in ref_values):
-            # refs columnar too: one typed run per ImgRef field
-            refs = ["cols", width, [
-                _pack_values([ref_value[i] for ref_value in ref_values])
-                for i in range(width)
-            ]]
-        else:
-            refs = ["rows", 0, [list(ref_value) for ref_value in ref_values]]
+    def _seal(self) -> None:
+        # caller holds the lock; batches over the old open block stay valid
         payload = serialization.dumps(
-            {
-                "ids": np.array([patch_id for patch_id, _, _ in rows], dtype=np.int64),
-                "refs": refs,
-                "attrs": attrs,
-                "cols": columns,
-            },
-            compress_arrays=False,
+            self._open.pack(sealed=True), compress_arrays=False
         )
         ref = self._heap.put(payload, compress=False)  # columns already packed
-        self._blocks.append(
-            _Block(ref, len(rows), rows[0][0], rows[-1][0], zones)
-        )
-        self._tail = []
-        self._persisted_tail = None
+        self._blocks.append(self._open.summary(ref))
+        self._open = _OpenBlock(self.block_rows)
+        self._persisted = None
 
     # -- reads ----------------------------------------------------------
 
     @contextmanager
-    def _decoding(self, block: _Block) -> Iterator[None]:
-        """Position whatever decoding ``block`` raises: the checksum
-        passed but the content does not decode — same corruption, one
-        typed positioned error instead of a codec traceback."""
+    def _decoding(self, block: _Block | None) -> Iterator[None]:
+        """Position whatever decoding a sealed ``block`` raises: the
+        checksum passed but the content does not decode — same
+        corruption, one typed positioned error instead of a codec
+        traceback. Anything else propagates as it is."""
         try:
             yield
         except CorruptionError:
             raise  # already positioned (heap checksum / short read)
         except DECODE_ERRORS as exc:
+            if block is None:
+                raise
             raise CorruptionError(
                 f"undecodable metadata block for {self.name!r}: {exc}",
                 file=self._heap.path,
                 offset=block.ref.offset,
             ) from exc
 
-    def _open_block(self, block: _Block) -> ColumnBatch:
-        """Read one sealed block; its columns stay packed until asked for."""
+    def _snapshot(self) -> list[tuple[_Block, ColumnBatch | None]]:
+        """Every block holding rows, in id order: the sealed ones (read
+        on demand) and last the open one, with a batch of its rows as
+        they stand now."""
+        with self._lock:
+            blocks: list = [(block, None) for block in self._blocks]
+            open_block, n = self._open, self._open.n_rows
+            if n:
+                stored = {
+                    "refs": ["o", open_block.refs],
+                    "cols": dict(open_block.columns),
+                }
+                batch = ColumnBatch(
+                    self, stored, open_block.ids[:n], positions=range(n)
+                )
+                # its zones keep folding later rows, which only widens
+                # them: pruning on them stays sound for this batch
+                blocks.append((open_block.summary(), batch))
+        return blocks
+
+    def _read(self, block: _Block, batch: ColumnBatch | None) -> ColumnBatch:
+        """A :meth:`_snapshot` entry's batch, reading a sealed block's
+        blob; its columns stay packed until asked for."""
+        if batch is not None:
+            return batch
         with self._decoding(block):
             stored = serialization.loads(self._heap.get(block.ref))
-            return ColumnBatch(self, stored["ids"], block=block, stored=stored)
-
-    def _tail_batch(self, tail: list[tuple[int, tuple, bytes]]) -> ColumnBatch:
-        return self._row_batch([
-            (patch_id, ref_value, serialization.loads(payload))
-            for patch_id, ref_value, payload in tail
-        ])
-
-    def _row_batch(self, rows: list[Row]) -> ColumnBatch:
-        ids = np.array([row[0] for row in rows], dtype=np.int64)
-        return ColumnBatch(self, ids, rows=rows)
+        return ColumnBatch(self, stored, stored["ids"], block=block)
 
     def scan_columns(
         self, expr: Any = None, on_blocks=None, *, after_id: int | None = None
     ) -> Iterator[ColumnBatch]:
-        """All rows in id order, one :class:`ColumnBatch` per sealed
-        block plus one for the open tail; with ``expr``, sealed blocks
-        whose zone maps prove no row can match are skipped *without
-        being read*. Surviving batches are NOT row-filtered — the caller
-        masks the columns ``expr`` names — and decode nothing until a
-        column or a row is asked for.
+        """All rows in id order, one :class:`ColumnBatch` per block; with
+        ``expr``, blocks whose zone maps prove no row can match are
+        skipped *without being read*. Surviving batches are NOT
+        row-filtered — the caller masks the columns ``expr`` names — and
+        decode nothing until a column or a row is asked for.
 
         ``on_blocks(skipped, scanned)``, when given, receives the scan's
         zone-map actuals as the stream finishes (partial counts when an
@@ -629,28 +719,20 @@ class CollectionSegment:
         corrupt block forced a segment rebuild, without re-delivering
         rows its consumer already saw.
         """
-        with self._lock:
-            blocks = list(self._blocks)
-            tail = list(self._tail)
-        if after_id is not None:
-            tail = [entry for entry in tail if entry[0] > after_id]
+        blocks = self._snapshot()
         skipped = scanned = 0
         try:
-            for block in blocks:
+            for block, batch in blocks:
                 if after_id is not None and block.max_id <= after_id:
                     continue
                 if expr is not None and not block_may_match(block.zones, expr):
                     skipped += 1
                     continue
                 scanned += 1
-                batch = self._open_block(block)
+                batch = self._read(block, batch)
                 if after_id is not None and block.min_id <= after_id:
-                    batch = self._row_batch(
-                        [row for row in batch.rows() if row[0] > after_id]
-                    )
+                    batch = batch.take(np.flatnonzero(batch.ids > after_id))
                 yield batch
-            if tail:
-                yield self._tail_batch(tail)
         finally:
             # aggregated per scan, not per block; also runs when the
             # consumer abandons the generator early
@@ -672,32 +754,24 @@ class CollectionSegment:
         self, patch_ids: Iterable[int], attrs: Iterable[str] | None = None
     ) -> list[Row]:
         """Point access; results align with ``patch_ids``. Raises
-        ``KeyError(patch_id)`` for ids not in the segment. With
-        ``attrs``, only those metadata columns are decoded and returned
-        (a ``SELECT rid`` never inflates a block's embedding column)."""
+        ``KeyError(patch_id)`` for ids not in the segment. Rows are built
+        for the wanted ids only (the open block packs just those), and
+        with ``attrs`` only those metadata columns are decoded (a ``SELECT
+        rid`` never inflates a block's embedding column)."""
         ids = list(patch_ids)
         keep = None if attrs is None else frozenset(attrs)
-        with self._lock:
-            blocks = list(self._blocks)
-            tail = list(self._tail)
-        max_ids = [block.max_id for block in blocks]
+        blocks = self._snapshot()
+        max_ids = [block.max_id for block, _ in blocks]
         wanted: dict[int, set[int]] = {}  # block index -> ids wanted there
-        tail_ids: set[int] = set()
         for patch_id in ids:
             position = bisect_left(max_ids, patch_id)
-            if position < len(blocks) and blocks[position].min_id <= patch_id:
+            if position < len(blocks) and blocks[position][0].min_id <= patch_id:
                 wanted.setdefault(position, set()).add(patch_id)
-            else:
-                tail_ids.add(patch_id)
         found: dict[int, Row] = {}
         for position, targets in wanted.items():
-            batch = self._open_block(blocks[position])
-            positions = np.flatnonzero(np.isin(batch.ids, list(targets)))
-            for row in batch.rows(positions, keep):
-                found[row[0]] = row
-        if tail_ids:
-            hits = [entry for entry in tail if entry[0] in tail_ids]
-            for row in self._tail_batch(hits).rows(attrs=keep):
+            batch = self._read(*blocks[position])
+            hits = np.flatnonzero(np.isin(batch.ids, list(targets)))
+            for row in batch.rows(hits, keep):
                 found[row[0]] = row
         out = []
         for patch_id in ids:
@@ -709,19 +783,15 @@ class CollectionSegment:
 
     def attr_min_max(self, attr: str) -> tuple[Any, Any] | None:
         """(min, max) of ``attr`` across the whole segment, answered
-        purely from block zone maps plus the (in-memory) open tail —
-        zero sealed blocks are decoded. Returns ``None`` whenever the
-        answer is not provable from summaries alone: an attribute with
-        mixed/unorderable values in any block (zone group ``None`` with
-        non-None rows), ordering groups that differ across blocks, or no
-        non-None value anywhere. ``None`` rows are skipped, matching the
-        aggregate executor's semantics."""
-        with self._lock:
-            blocks = list(self._blocks)
-            tail = list(self._tail)
+        purely from block zone maps — no block is decoded. Returns
+        ``None`` whenever the answer is not provable from summaries
+        alone: an attribute with mixed/unorderable values in any block
+        (zone group ``None`` with non-None rows), ordering groups that
+        differ across blocks, or no non-None value anywhere. ``None``
+        rows are skipped, matching the aggregate executor's semantics."""
         lo = hi = None
         group: str | None = None
-        for block in blocks:
+        for block, _ in self._snapshot():
             zone = block.zones.get(attr, _ABSENT)
             if zone.n_values == 0:
                 continue
@@ -735,39 +805,21 @@ class CollectionSegment:
                 lo = zone.lo
             if hi is None or zone.hi > hi:
                 hi = zone.hi
-        for _, _, payload in tail:
-            value = serialization.loads(payload).get(attr)
-            if value is None:
-                continue
-            value_group = _value_group(value)
-            if value_group is None:
-                return None
-            if group is None:
-                group = value_group
-            elif value_group != group:
-                return None
-            if lo is None or value < lo:
-                lo = value
-            if hi is None or value > hi:
-                hi = value
         if lo is None:
             return None  # no non-None value anywhere: nothing to prove
         return lo, hi
 
-    def block_stats(self, expr: Any = None) -> tuple[int, int, int]:
-        """(kept blocks, total sealed blocks, open tail rows) for the
-        planner: how much of the segment a zone-mapped scan would read.
-        Tail rows always survive (they have no zone maps yet) and are
-        costed apart: the tail is still row-format."""
-        with self._lock:
-            blocks = list(self._blocks)
-            tail_rows = len(self._tail)
+    def block_stats(self, expr: Any = None) -> tuple[int, int]:
+        """(kept blocks, total blocks) for the planner: how much of the
+        segment a zone-mapped scan of ``expr`` would read. The open block
+        counts like a sealed one."""
+        blocks = [block for block, _ in self._snapshot()]
         kept = sum(
             1
             for block in blocks
             if expr is None or block_may_match(block.zones, expr)
         )
-        return kept, len(blocks), tail_rows
+        return kept, len(blocks)
 
     def scrub(self) -> tuple[int, list[CorruptionError]]:
         """Decode every sealed block end to end — checksum *and* content
@@ -778,7 +830,7 @@ class CollectionSegment:
         errors: list[CorruptionError] = []
         for block in blocks:
             try:
-                self._open_block(block).rows()
+                self._read(block, None).rows()
             except CorruptionError as exc:
                 errors.append(exc)
         return len(blocks), errors
@@ -787,12 +839,13 @@ class CollectionSegment:
 
     def to_value(self) -> dict:
         """The full descriptor (a snapshot-store *base*): sealed-block
-        refs with their zone maps, plus the open tail as it stands."""
+        refs with their zone maps, plus the open block's rows in the
+        stored form of a sealed block."""
         with self._lock:
             return {
                 "block_rows": self.block_rows,
                 "blocks": [block.to_value() for block in self._blocks],
-                "tail": _tail_value(self._tail),
+                "open": self._open.pack(),
             }
 
     @classmethod
@@ -803,53 +856,49 @@ class CollectionSegment:
             heap, name, block_rows=int(value["block_rows"]), metrics=metrics
         )
         segment._blocks = [_Block.from_value(entry) for entry in value["blocks"]]
-        segment.apply_delta(value["tail"])
+        segment.apply_delta(value["open"])
         return segment
 
-    def take_delta(self) -> list | None:
-        """Snapshot-store protocol: the tail rows appended since the
-        previous call (or since :meth:`from_value`); ``None`` when the
-        sealed blocks changed, which only a full descriptor records —
-        so sealing a block starts a new base."""
+    def take_delta(self) -> dict | None:
+        """Snapshot-store protocol: the open-block rows appended since
+        the previous call (or since :meth:`from_value`), stored like a
+        sealed block; ``None`` when the sealed blocks changed, which only
+        a full descriptor records — so sealing a block starts a new base."""
         with self._lock:
-            start, self._persisted_tail = self._persisted_tail, len(self._tail)
-            return None if start is None else _tail_value(self._tail[start:])
+            start, self._persisted = self._persisted, self._open.n_rows
+            return None if start is None else self._open.pack(start)
 
-    def apply_delta(self, rows: list) -> None:
-        """Fold persisted tail rows. Ids must keep ascending (scans and
-        point lookups bisect on that) and the tail must stay open."""
+    def apply_delta(self, payload: dict) -> None:
+        """Fold persisted open-block rows. Ids must keep ascending (scans
+        and point lookups bisect on that) and the block must stay open."""
+        rows = ColumnBatch(self, payload, payload["ids"]).rows()
         with self._lock:
-            last = self._tail[-1][0] if self._tail else (
+            block = self._open
+            if block.n_rows + len(rows) >= self.block_rows:
+                raise ValueError("segment open block holds a whole block")
+            last = int(block.ids[block.n_rows - 1]) if block.n_rows else (
                 self._blocks[-1].max_id if self._blocks else -1
             )
-            for patch_id, ref_value, payload in rows:
-                if int(patch_id) <= last:
+            for patch_id, ref_value, metadata in rows:
+                if patch_id <= last:
                     raise ValueError(
-                        f"segment tail row {patch_id} does not follow row {last}"
+                        f"segment row {patch_id} does not follow row {last}"
                     )
-                last = int(patch_id)
-                self._tail.append((last, tuple(ref_value), payload))
-            if len(self._tail) >= self.block_rows:
-                raise ValueError("segment tail holds a whole unsealed block")
-            self._persisted_tail = len(self._tail)
-
-
-def _tail_value(tail: list[tuple[int, tuple, bytes]]) -> list:
-    return [
-        [patch_id, list(ref_value), payload]
-        for patch_id, ref_value, payload in tail
-    ]
+                last = patch_id
+                block.append(patch_id, ref_value, metadata)
+            self._persisted = block.n_rows
 
 
 class MetadataSegmentStore:
     """All collections' segments over one ``metadata.seg`` heap file.
 
     Sealed blocks are immutable blobs; what changes is each segment's
-    *descriptor* (block refs + zone maps + the open tail), persisted
-    through a :class:`~repro.storage.snapshot_store.SnapshotStore` over
-    the same heap: a full descriptor is the base, and a flush that only
-    appended tail rows writes just those rows as a delta — a commit
-    costs the rows it added, not the tail it found. Sealing a block (or
+    *descriptor* (block refs + zone maps + the open block's rows),
+    persisted through a :class:`~repro.storage.snapshot_store.SnapshotStore`
+    over the same heap: a full descriptor is the base, and a flush that
+    only appended open-block rows writes just those rows as a delta — a
+    commit costs the rows it added, not the block it found. Base and
+    delta carry rows in the stored form of a sealed block. Sealing a block (or
     a chain grown to its base's size) starts a fresh base. ``refs`` is
     the section of the catalog's directory holding one chain-ref entry
     per segment; the snapshot store writes an entry when :meth:`flush`

@@ -29,7 +29,7 @@ from repro.core.operators import (
 )
 from repro.core.patch import Patch
 from repro.errors import QueryError
-from repro.storage.kvstore import BlobHeap
+from repro.storage.kvstore import BlobHeap, serialization
 from repro.storage.metadata_segment import CollectionSegment
 
 # -- Expr.mask == Expr.evaluate, row by row -------------------------------------
@@ -136,7 +136,7 @@ def row_by_row(expr, batch):
 @given(rows=tables(), expr=exprs)
 @settings(max_examples=400, deadline=None)
 def test_mask_equals_evaluate_row_by_row(heap, rows, expr):
-    """Every batch — sealed blocks of 4 and the open tail — answers
+    """Every batch — sealed blocks of 4 and the open one — answers
     ``mask`` exactly as the row loop does, exception type included."""
     segment = segment_of(heap, rows)
     batches = list(segment.scan_columns())
@@ -170,6 +170,69 @@ def test_zone_map_skipping_never_drops_a_masked_row(heap, rows, expr):
     assert pruned == reference[1]
 
 
+def _ordering_group(value):
+    if isinstance(value, float) and value != value:
+        return None  # NaN orders against nothing
+    if isinstance(value, (bool, int, float)):
+        return "num"
+    return "str" if isinstance(value, str) else None
+
+
+def brute_min_max(values):
+    """(min, max) of the non-None values when they all order against
+    each other (numbers without NaN, or strings), else None."""
+    present = [value for value in values if value is not None]
+    groups = {_ordering_group(value) for value in present}
+    if len(groups) != 1 or None in groups:
+        return None
+    return min(present), max(present)
+
+
+@given(rows=tables(), expr=exprs, data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_open_block_answers_like_a_sealed_one(heap, rows, expr, data):
+    """Blocks of 4, the last one open unless the rows fill it — holding
+    None, NaN and mixed types like any other: the segment returns the
+    rows it was given; every block's zone maps summarize the rows it
+    returns; MIN/MAX off the zone maps equal a brute-force
+    fold; the planner's kept-block count is the number of batches the
+    scan yields; a scan resumed after any id (cutting a sealed or the
+    open block) is the suffix of the uncut scan; one point read across
+    every block equals the scan's rows."""
+    segment = segment_of(heap, rows)
+    frozen = serialization.dumps
+    scanned = [row for batch in segment.scan_columns() for row in batch.rows()]
+    assert [row[0] for row in scanned] == list(range(len(rows)))
+    assert frozen([dict(sorted(row[2].items())) for row in scanned]) == frozen(
+        [dict(sorted(row.items())) for row in rows]
+    )
+    for block, batch in segment._snapshot():
+        held = [row[2] for row in segment._read(block, batch).rows()]
+        for attr in ATTRS:
+            assert block.zones.get(attr, seg_mod._ABSENT) == seg_mod.zone_of(
+                [metadata.get(attr) for metadata in held],
+                [attr in metadata for metadata in held],
+            ), (attr, block.ref is None)
+    for attr in ATTRS + ("nope",):
+        assert segment.attr_min_max(attr) == brute_min_max(
+            [row.get(attr) for row in rows]
+        ), attr
+    kept, total = segment.block_stats(expr)
+    assert total == -(-len(rows) // 4)
+    assert kept == len(list(segment.scan_columns(expr)))
+    after = data.draw(st.integers(-1, len(rows)), label="after_id")
+    resumed = [
+        row
+        for batch in segment.scan_columns(after_id=after)
+        for row in batch.rows()
+    ]
+    assert frozen(resumed) == frozen([row for row in scanned if row[0] > after])
+    wanted = data.draw(st.permutations(range(len(rows))), label="ids")
+    assert frozen(segment.get_rows(wanted)) == frozen(
+        [scanned[i] for i in wanted]
+    )
+
+
 def test_typed_runs_take_the_numpy_kernels(heap):
     """The differential must not pass by everything falling back: typed
     int/float/str columns really are served as arrays."""
@@ -184,7 +247,7 @@ def test_typed_runs_take_the_numpy_kernels(heap):
     assert batch.values("absent") == [None] * 4
 
 
-# -- a small catalog with sealed blocks and a tail ----------------------------
+# -- a small catalog with sealed blocks and an open one ----------------------
 
 LABELS = ("car", "person", "bus")
 N = 30
@@ -209,7 +272,7 @@ def make_patches(n=N):
 
 @pytest.fixture()
 def db(tmp_path, monkeypatch):
-    monkeypatch.setattr(seg_mod, "BLOCK_ROWS", 8)  # 3 sealed blocks + 6 tail
+    monkeypatch.setattr(seg_mod, "BLOCK_ROWS", 8)  # 3 sealed + 6 open rows
     with DeepLens(tmp_path) as session:
         session.materialize(make_patches(), "det")
         yield session
@@ -348,7 +411,7 @@ def test_count_decodes_one_column_per_surviving_block(db):
     rows = "deeplens_segment_rows_materialized_total"
     scanned = "deeplens_zonemap_blocks_scanned_total"
     before = {name: counter(db, name) for name in (columns, rows, scanned)}
-    # frames 9..20 live in sealed blocks 2 and 3 of [0-7][8-15][16-23] + tail
+    # frames 9..20 live in blocks 2 and 3 of [0-7][8-15][16-23][24-29]
     assert db.sql("SELECT COUNT(*) FROM det WHERE frameno BETWEEN 9 AND 20") == 12
     delta = {name: counter(db, name) - before[name] for name in before}
     assert delta == {columns: 2, rows: 0, scanned: 2}

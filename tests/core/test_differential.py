@@ -13,7 +13,7 @@ paths that must agree row-for-row:
   one (view reuse is a cost-based *physical* choice, never a semantic
   one);
 * the metadata-only path vs the full-record path, and both — filters
-  masked on segment columns across sealed blocks and the open tail,
+  masked on segment columns across sealed blocks and the open one,
   survivors materialized last, counts folded off the mask — vs a plain
   Python filter/sort/slice over an unfiltered full scan;
 * ANN top-k at an exhaustive beam (``ef = n``) vs brute-force exact
@@ -83,8 +83,8 @@ def db(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def blocked_db(tmp_path_factory):
-    """``det`` in sealed metadata blocks of 16 rows (3 blocks + a 12-row
-    tail), so column filters cross block boundaries and zone maps bite."""
+    """``det`` in metadata blocks of 16 rows (3 sealed + a 12-row open
+    block), so column filters cross block boundaries and zone maps bite."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("repro.storage.metadata_segment.BLOCK_ROWS", 16)
         with DeepLens(tmp_path_factory.mktemp("differential_blocks")) as session:

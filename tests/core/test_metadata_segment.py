@@ -8,6 +8,8 @@ reads on every metadata path — scans, point gets, index fetches, SQL
 """
 
 import os
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -204,6 +206,59 @@ def test_segment_scan_with_expr_keeps_every_matching_row(
             assert patch_id in scanned
 
 
+def test_reads_racing_appends_see_whole_rows_in_order(tmp_path):
+    """Scans and point reads run while another thread appends (sealing a
+    block every 8 rows): every read sees a prefix of the appended rows in
+    id order, each row whole, and the final state holds every row."""
+    heap = BlobHeap(tmp_path / "race.seg")
+    segment = CollectionSegment(heap, "c", block_rows=8)
+    n = 300
+
+    def row(i):
+        return {"k": i, "v": [i, -i]} if i % 3 else {"k": i, "s": f"r{i}"}
+
+    failures = []
+    done = threading.Event()
+
+    def writer():
+        try:
+            for i in range(n):
+                segment.append(i, ("v", i, None), row(i))
+        finally:
+            done.set()
+
+    def reader():
+        while not done.is_set():
+            rows = list(segment.scan_rows())
+            ids = [patch_id for patch_id, _, _ in rows]
+            if ids != list(range(len(ids))) or any(
+                metadata != row(patch_id) for patch_id, _, metadata in rows
+            ):
+                failures.append(ids)
+                return
+            wanted = ids[::-5]
+            if [r[0] for r in segment.get_rows(wanted)] != wanted:
+                failures.append(wanted)
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader) for _ in range(3)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert [r[0] for r in segment.scan_rows()] == list(range(n))
+    finally:
+        sys.setswitchinterval(interval)
+        heap.close()
+
+
 # -- storage layer ---------------------------------------------------------
 
 
@@ -276,6 +331,53 @@ class TestSegmentStorage:
             collection.add(extra)
             lean = list(collection.scan(load_data=False))
             assert lean[-1]["label"] == "van"
+
+    def test_stored_rows_share_no_mutable_state_with_callers(
+        self, tmp_path, monkeypatch
+    ):
+        """The segment holds its own copies: mutating a nested ndarray or
+        list of a patch after ``add``, or of a row a metadata read handed
+        out, changes no later read — in a sealed block, in the open
+        block, and after a reopen (blob and descriptor decoded)."""
+        monkeypatch.setattr("repro.storage.metadata_segment.BLOCK_ROWS", 4)
+
+        def make(i):
+            patch = Patch.from_frame("vid", i, np.zeros((2, 2, 3), np.uint8))
+            patch.metadata["emb"] = np.array([float(i), 0.0])
+            patch.metadata["tags"] = [i, [i]]
+            return patch
+
+        def check(rows):
+            assert [p["frameno"] for p in rows] == list(range(6))
+            for i, patch in enumerate(rows):
+                assert patch["emb"].tolist() == [float(i), 0.0]
+                assert patch["tags"] == [i, [i]]
+
+        def reads_are_isolated(collection):
+            ids = collection.ids()
+            for read in (
+                lambda: list(collection.scan(load_data=False)),
+                lambda: collection.get_many(ids, load_data=False),
+            ):
+                handed_out = read()
+                check(handed_out)
+                for patch in handed_out:
+                    patch["emb"][0] = 99.0
+                    patch["tags"][1].append("caller")
+                    patch["tags"].append("caller")
+                check(read())
+
+        patches = [make(i) for i in range(6)]
+        with Catalog(tmp_path) as catalog:
+            collection = catalog.materialize(iter(patches), "c")
+            # rows 0-3 sealed, rows 4-5 in the open block
+            assert collection.metadata_block_stats() == (2, 2)
+            for patch in patches:
+                patch.metadata["emb"][0] = -1.0
+                patch.metadata["tags"][1].append("after add")
+            reads_are_isolated(collection)
+        with Catalog(tmp_path) as catalog:
+            reads_are_isolated(catalog.collection("c"))
 
     def test_rematerialize_replaces_segment(self, tmp_path):
         with Catalog(tmp_path) as catalog:
@@ -370,11 +472,16 @@ class TestPlannerMetadataPaths:
             patches = db.scan("det").patches()
             assert all(p.data.size > 0 for p in patches)
 
-    def test_index_metadata_fetches_skip_the_heap(self, tmp_path):
+    def test_index_metadata_fetches_skip_the_heap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.storage.metadata_segment.BLOCK_ROWS", 100)
         with DeepLens(tmp_path) as db:
-            # large enough that the point-fetch index path out-costs even
-            # the cheap columnar scan
-            db.materialize(make_patches(1000), "det")
+            # spread over enough blocks that the point-fetch index path
+            # out-costs even the cheap columnar scan: scores are shuffled
+            # across blocks, so no zone map prunes
+            patches = list(make_patches(1000))
+            for i, patch in enumerate(patches):
+                patch.metadata["score"] = float(i * 7 % 1000)
+            db.materialize(patches, "det")
             db.create_index("det", "score", "btree")
             query = db.scan("det", load_data=False).filter(
                 Attr("score").between(10.0, 14.0)

@@ -160,7 +160,8 @@ class TestOptimizerEdgeCases:
         with Catalog(tmp_path) as catalog:
             populate(catalog, n=200, person_every=10)
             catalog.create_index("c", "label", "hash")
-            optimizer = Optimizer(catalog)
+            # a dear column pass keeps the index ahead of the segment scan
+            optimizer = Optimizer(catalog, CostModel(segment_column_decode=1.0))
             expr = (
                 (Attr("label") == "person")
                 & (Attr("frameno") >= 10)

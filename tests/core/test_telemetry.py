@@ -179,9 +179,10 @@ class TestZoneMapActuals:
             # actuals observed by the scan, estimate graded like a
             # cardinality: the zone maps are exact, so q-error == 1
             assert entry.blocks_skipped > 0
-            # 120 rows at 16/block: 7 sealed blocks (the matching rows
-            # all live in the unsealed tail, so every block is skipped)
-            assert entry.blocks_skipped + entry.blocks_scanned == 7
+            # 120 rows at 16/block: 7 sealed blocks + the open one (the
+            # matching rows all live in the open block, so every sealed
+            # block is skipped)
+            assert entry.blocks_skipped + entry.blocks_scanned == 8
             assert entry.est_blocks_skipped == entry.blocks_skipped
             assert entry.blocks_q == 1.0
             assert explanation.profile.block_q_errors() == [1.0]

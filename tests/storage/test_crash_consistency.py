@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.storage.metadata_segment as seg_mod
 from repro.core import DeepLens
 from repro.core.catalog import Catalog
 from repro.core.patch import Patch
@@ -243,6 +244,71 @@ def test_crash_during_delta_commits_lands_on_a_commit(tmp_path, mode):
         assert checkpoints.index(state) >= reached
         reached = checkpoints.index(state)
     assert reached >= commits - 1
+
+
+#: rows per metadata block in the block-boundary cells: the seeded 8 rows
+#: are one sealed block of 6 plus an open block of 2
+SMALL_BLOCK_ROWS = 6
+
+
+def _wl_append(rows):
+    """ONE commit appending ``rows`` rows to the seeded collection."""
+
+    def workload(workdir, fs):
+        catalog = Catalog(workdir, durability=DURABILITY, fs=fs)
+        collection = catalog.collection("base")
+        for patch in _patches(rows, start=700):
+            collection.add(patch)
+        catalog.sync()
+        catalog.close()
+
+    return workload
+
+
+@pytest.mark.parametrize(
+    "rows, seals", [(5, True), (2, False)], ids=["seal", "open-block-delta"]
+)
+def test_crash_at_a_block_boundary_is_all_or_nothing(
+    tmp_path, monkeypatch, rows, seals
+):
+    """The metadata segment's two commit shapes: appending across a
+    block boundary (a sealed block, a fresh descriptor base, new
+    open-block rows) and appending to the open block only (a descriptor
+    delta). A crash at any step of either reopens to the state before or
+    after the commit, with the segment agreeing with the heap."""
+    monkeypatch.setattr(seg_mod, "BLOCK_ROWS", SMALL_BLOCK_ROWS)
+    workload = _wl_append(rows)
+    base = tmp_path / "base"
+    _seed_base(base)
+    pre_state = _fingerprint(base)
+
+    probe = tmp_path / "probe"
+    shutil.copytree(base, probe)
+    counter = FaultInjector(fail_at=None)
+    workload(probe, counter)
+    counter.close_all()
+    post_state = _fingerprint(probe)
+    assert post_state != pre_state
+    with Catalog(probe, durability=DURABILITY) as catalog:
+        # the commit has the shape the test is about
+        base_off, _, head_off, _ = catalog.segments.snapshots.refs[
+            ("segment", "base")
+        ]
+        assert (head_off == base_off) == seals
+        blocks = catalog.collection("base")._metadata_segment().block_stats()
+        assert blocks == ((3, 3) if seals else (2, 2))
+
+    for mode in ("kill", "torn"):
+        for step in _steps_for(counter.ops):
+            workdir = tmp_path / f"{mode}{step}"
+            shutil.copytree(base, workdir)
+            assert _crash_run(workdir, workload, step, mode)
+            state = _fingerprint(workdir)
+            assert state in (pre_state, post_state), (
+                f"append {rows}/{mode}: crash at op {step}/{counter.ops} "
+                f"left a mixed state"
+            )
+            shutil.rmtree(workdir)
 
 
 def _wl_grow_everything(workdir, fs):

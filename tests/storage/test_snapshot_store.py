@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.storage.metadata_segment as seg_mod
-from repro.core import DeepLens
+from repro.core import Attr, DeepLens
 from repro.core.catalog import Catalog
 from repro.core.metrics import MetricsRegistry
 from repro.core.patch import Patch
@@ -82,6 +82,36 @@ def _assert_folded_equals_rebuilt(catalog: Catalog) -> None:
         )
         loaded = catalog.get_index("c", "emb", "hnsw")
         assert _frozen(loaded.to_value()) == _frozen(rebuilt.to_value())
+    _assert_open_block_reads_like_sealed(collection, rows)
+
+
+def _assert_open_block_reads_like_sealed(collection, rows) -> None:
+    """The segment as folded — sealed blocks plus an open block restored
+    from its descriptor base and deltas — against the heap's ``rows``."""
+    segment = collection._metadata_segment()
+    ids = [p.patch_id for p in rows]
+    # one point read spanning every block, the open one included
+    wanted = ids[::-2]
+    points = [
+        collection._patch_from_metadata(*row) for row in segment.get_rows(wanted)
+    ]
+    by_id = {p.patch_id: p for p in rows}
+    for slim in points:
+        assert slim.img_ref == by_id[slim.patch_id].img_ref
+        assert _frozen(slim.metadata) == _frozen(by_id[slim.patch_id].metadata)
+    for attr in ("score", "label"):
+        values = [p[attr] for p in rows]
+        assert segment.attr_min_max(attr) == (
+            (min(values), max(values)) if values else None
+        )
+    assert segment.attr_min_max("emb") is None  # vectors do not order
+    expr = Attr("score") >= 2.5
+    kept, total = segment.block_stats(expr)
+    assert total == -(-len(rows) // segment.block_rows)
+    assert kept == len(list(segment.scan_columns(expr)))
+    for after in ids[len(ids) // 2 :: 3]:  # cuts sealed and open blocks
+        resumed = [row[0] for row in segment.scan_rows(after_id=after)]
+        assert resumed == [i for i in ids if i > after]
 
 
 # -- (a) folded state == rebuilt state ------------------------------------
