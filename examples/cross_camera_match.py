@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.bench.metrics import Timer, assign_identity
 from repro.core import DeepLens
-from repro.core.operators import BallTreeSimilarityJoin, CollectionScan
+from repro.core.operators import BallTreeSimilarityJoin, MetadataScan
 from repro.datasets import TrafficCamDataset
 from repro.etl import HistogramTransformer, ObjectDetectorGenerator, Pipeline
 from repro.vision import SyntheticSSD
@@ -58,8 +58,8 @@ def main() -> None:
         # On-The-Fly Index Similarity Join: cam-b (the smaller relation in
         # general) is loaded into an in-memory Ball-tree; cam-a probes it
         join = BallTreeSimilarityJoin(
-            CollectionScan(collections["cam-a"]),
-            CollectionScan(collections["cam-b"]),
+            MetadataScan(collections["cam-a"]),
+            MetadataScan(collections["cam-b"]),
             threshold=MATCH_THRESHOLD,
             features=lambda patch: patch["hist"],
         )

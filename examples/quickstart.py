@@ -43,10 +43,14 @@ The minimal end-to-end DeepLens workflow on synthetic CCTV footage:
    Ask for it explicitly (LensQL ``FROM detections METADATA ONLY``,
    fluent ``load_data=False``) or let the planner flip the scan itself
    when nothing above it reads pixel data — ``explain()`` shows the
-   flip, the columns read and the rows materialized; a selective
-   ``SELECT *`` uses the same column pass and then fetches pixel
+   flip, the columns read and the rows materialized; a ``SELECT *``
+   no index serves uses the same column pass and then fetches pixel
    records for the matching ids only (``late-materialization``);
-10. backtrace one detection to its base frame through lineage;
+10. backtrace one detection to its base frame through lineage: the
+   ``ImgRef`` and ``_lineage`` chain are segment columns, so "every
+   patch that frame produced" is a pass over the live collections'
+   metadata columns — no side index, no pixel read, and rows a
+   replace or a view refresh removed never come back;
 11. similarity search: ``CREATE INDEX ... USING HNSW`` builds a
    graph-based approximate-nearest-neighbor index over an embedding
    attribute; ``ORDER BY SIMILARITY LIMIT k`` in LensQL (with

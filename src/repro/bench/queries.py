@@ -37,9 +37,9 @@ from repro.core.catalog import MaterializedCollection
 from repro.core.expressions import Attr
 from repro.core.operators import (
     BallTreeSimilarityJoin,
-    CollectionScan,
     IndexEqJoin,
     IteratorScan,
+    MetadataScan,
     NestedLoopJoin,
     Select,
     cluster_pairs,
@@ -229,16 +229,16 @@ def q2_vehicle_frames(workload: TrafficWorkload, plan: str = "baseline") -> Quer
     detections = workload.detections
     with Timer() as timer:
         if plan == "baseline":
-            operator = Select(
-                CollectionScan(detections, load_data=False),
-                Attr("label") == "vehicle",
-            )
+            # every row is built, then filtered: the scan the index beats
+            operator = Select(MetadataScan(detections), Attr("label") == "vehicle")
             frames = {patch["frameno"] for (patch,) in operator}
         elif plan == "optimized":
             index = detections.index("label", "hash")
             frames = {
-                detections.get(patch_id, load_data=False)["frameno"]
-                for patch_id in index.lookup("vehicle")
+                patch["frameno"]
+                for patch in detections.get_many(
+                    index.lookup("vehicle"), load_data=False, attrs=("frameno",)
+                )
             }
         else:
             raise QueryError(f"unknown q2 plan {plan!r}")
@@ -293,12 +293,18 @@ def q3_player_trajectory(
                         break
         elif plan == "optimized":
             index = jerseys.index("text", "hash")
-            for patch_id in index.lookup(number):
-                hit = jerseys.get(patch_id, load_data=False)
-                parent_id = hit.img_ref.parent_id
-                if parent_id is None:
-                    continue
-                player = players.get(parent_id, load_data=False)
+            # the hits' ImgRefs carry the parent pointers: no metadata
+            # column of the OCR patches is decoded, and each collection
+            # is read in one batched fetch
+            hits = jerseys.get_many(index.lookup(number), load_data=False, attrs=())
+            parents = [
+                hit.img_ref.parent_id
+                for hit in hits
+                if hit.img_ref.parent_id is not None
+            ]
+            for player in players.get_many(
+                parents, load_data=False, attrs=("source", "frameno")
+            ):
                 trajectory.add((player["source"], player["frameno"]))
         else:
             raise QueryError(f"unknown q3 plan {plan!r}")
@@ -487,7 +493,9 @@ def q5_string_lookup(
     with Timer() as timer:
         if plan not in ("baseline", "optimized"):
             raise QueryError(f"unknown q5 plan {plan!r}")
-        operator = Select(CollectionScan(texts), Attr("text").contains(target))
+        operator = Select(
+            MetadataScan(texts, load_data=True), Attr("text").contains(target)
+        )
         first = None
         best_frame = None
         for (patch,) in operator:
@@ -581,7 +589,7 @@ def q6_behind_pairs(
                     "q6 optimized plan needs the prepared person collection"
                 )
             join = IndexEqJoin(
-                CollectionScan(persons, load_data=False),
+                MetadataScan(persons),
                 persons,
                 left_key=lambda patch: patch["frameno"],
                 right_attr="frameno",

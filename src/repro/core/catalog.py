@@ -6,8 +6,8 @@ also support the construction of indexes on the materialized data"
 directory and exposes:
 
 * :meth:`Catalog.materialize` — persist a patch iterator as a named
-  collection (assigning patch ids, validating against a schema, recording
-  lineage);
+  collection (assigning patch ids, validating each patch against a schema
+  and its lineage);
 * :meth:`Catalog.create_index` — hash / B+ tree / R-tree / Ball-tree over
   a collection attribute (or the patch data itself for feature patches);
 * :class:`MaterializedCollection` — scan / point access / index lookup.
@@ -126,9 +126,12 @@ class MaterializedCollection:
         return len(self._tree)
 
     def add(self, patch: Patch) -> int:
-        """Persist one patch; returns its assigned patch id."""
+        """Persist one patch; returns its assigned patch id. The checks
+        that can reject it — schema, backtrace to a base image — run
+        before the id is taken and before the first write."""
         if self.schema is not None:
             self.schema.validate_patch(patch)
+        self.catalog.lineage.record(patch)
         patch_id = self.catalog._next_patch_id()
         patch.patch_id = patch_id
         ref = self.catalog.heap.put(patch.to_record(), compress=True)
@@ -143,7 +146,6 @@ class MaterializedCollection:
             segment.append(
                 patch_id, patch.img_ref.to_value(), _normalize_meta(patch.metadata)
             )
-        self.catalog.lineage.record(patch)
         self.catalog._maintain_indexes(self.name, patch)
         self.catalog._record_statistics(self.name, patch)
         self.catalog._bump_version(self.name)
@@ -214,28 +216,18 @@ class MaterializedCollection:
     def scan_batches(
         self, size: int = DEFAULT_BATCH_SIZE, *, load_data: bool = True
     ) -> Iterator[list[Patch]]:
-        """Scan in id order, decoding a whole batch per heap trip.
-
-        The vectorized storage path behind ``CollectionScan.iter_batches``:
-        each batch resolves its blob refs up front and reads them through
-        :meth:`BlobHeap.multi_get`, so a cold scan issues a few coalesced
-        reads per ``size`` patches instead of a heap round-trip each.
-        ``load_data=False`` never touches the patch heap at all: batches
-        come out of the columnar metadata segment, skipping the pixel
-        decompression ``Patch.from_record`` used to pay just to throw the
-        data away.
-        """
-        if not load_data:
-            yield from self.metadata_batches(size)
-            return
-        yield from self._record_batches(size, load_data)
+        """Scan in id order: :meth:`metadata_batches` with no filter.
+        The ids come off the segment; ``load_data=True`` reads their
+        records a batch per coalesced heap trip, ``load_data=False``
+        never touches the patch heap."""
+        yield from self.metadata_batches(size, load_data=load_data)
 
     def _record_batches(
         self, size: int, load_data: bool
     ) -> Iterator[list[Patch]]:
-        """The full-record path: decode heap records batch-wise — what
-        :meth:`scan_batches` yields, and with ``load_data=False`` the
-        source the metadata segment is rebuilt from."""
+        """Decode heap records batch-wise by walking the row tree: the
+        source the metadata segment is rebuilt from. Queries never read
+        through it; they start at the segment."""
         for chunk in chunked(self._tree.items(), size):
             yield self._load_chunk(chunk, load_data)
 
@@ -270,6 +262,9 @@ class MaterializedCollection:
         and the scan resumes after the last row already examined (rows
         are id-ordered, so no duplicates and no gaps).
         """
+
+        if size < 1:
+            raise QueryError(f"batch size must be positive, got {size}")
 
         def survivors(batch: ColumnBatch) -> list:
             positions = _matching(expr, batch)
@@ -560,7 +555,7 @@ class Catalog:
         #: empty catalog from a lost meta page
         self._saved_next_id = meta.get("catalog:next_id")
         self._next_id = self._saved_next_id or 0
-        self.lineage = LineageStore(self.pager)
+        self.lineage = LineageStore(self)
         #: (collection, attr, kind) -> index object
         self._indexes: dict[tuple[str, str, str], Any] = {}
         self._trees: dict[str, BPlusTree] = {}
@@ -1104,33 +1099,34 @@ class Catalog:
         record: dict,
         feature_fn: Callable[[Patch], np.ndarray] | None = None,
     ):
+        """Build an index from the collection's current rows. A metadata
+        attribute is read off its segment column — no pixel record is
+        decoded; only ``attr='data'`` and a ``feature_fn`` need records."""
         collection_name, attr, kind = key
         collection = self.collection(collection_name)
-        if kind in ("hash", "btree"):
-            index = self._persistent_index(key)
-            for patch in collection.scan():
-                value = patch.metadata.get(attr)
-                if value is None:
-                    continue
-                for index_key in _index_keys(value, record["multi_value"]):
-                    index.insert(index_key, patch.patch_id)
-            return index
-        if kind == "rtree":
-            index = RTree()
-            for patch in collection.scan():
-                value = patch.metadata.get(attr)
-                if value is not None:
-                    index.insert(rect_from_bbox(tuple(value)), patch.patch_id)
+        if kind in ("balltree", "hnsw") and (feature_fn is not None or attr == "data"):
+            rows = (
+                (patch.patch_id, _patch_vector(patch, attr, feature_fn))
+                for patch in collection.scan()
+            )
+        else:
+            rows = (
+                (patch_id, value)
+                for ids, values in collection.metadata_keys(attr)
+                for patch_id, value in zip(ids.tolist(), values)
+            )
+        if kind in ("hash", "btree", "rtree"):
+            index = self._persistent_index(key) if kind != "rtree" else RTree()
+            for patch_id, value in rows:
+                _index_insert(index, kind, record["multi_value"], patch_id, value)
             return index
         # balltree / hnsw: both index the same vector sources
         vectors: list[np.ndarray] = []
         ids: list[int] = []
-        for patch in collection.scan():
-            vector = _patch_vector(patch, attr, feature_fn)
-            if vector is None:
-                continue
-            vectors.append(vector)
-            ids.append(patch.patch_id)
+        for patch_id, value in rows:
+            if value is not None:
+                vectors.append(np.asarray(value, dtype=np.float64).ravel())
+                ids.append(patch_id)
         if not vectors:
             raise IndexError_(
                 f"collection {collection.name!r} has no vectors under "
@@ -1147,16 +1143,11 @@ class Catalog:
         for (name, attr, kind), index in list(self._indexes.items()):
             if name != collection_name:
                 continue
-            if kind in ("hash", "btree"):
-                value = patch.metadata.get(attr)
-                if value is not None:
-                    multi = self._registered[name, attr, kind]["multi_value"]
-                    for key in _index_keys(value, multi):
-                        index.insert(key, patch.patch_id)
-            elif kind == "rtree":
-                value = patch.metadata.get(attr)
-                if value is not None:
-                    index.insert(rect_from_bbox(tuple(value)), patch.patch_id)
+            if kind in ("hash", "btree", "rtree"):
+                multi = self._registered[name, attr, kind]["multi_value"]
+                _index_insert(
+                    index, kind, multi, patch.patch_id, patch.metadata.get(attr)
+                )
             elif kind == "balltree":
                 # static structure: drop it; it rebuilds lazily on next use
                 key = (name, attr, kind)
@@ -1210,6 +1201,19 @@ def _normalize_hnsw_params(params: dict | None) -> dict:
             )
         normalized[target] = int(value)
     return normalized
+
+
+def _index_insert(index, kind: str, multi_value: bool, patch_id: int, value) -> None:
+    """Add one row's ``value`` of the indexed attribute to a hash, B+-tree
+    or R-tree index: the insert an index build and incremental upkeep
+    share."""
+    if value is None:
+        return
+    if kind == "rtree":
+        index.insert(rect_from_bbox(tuple(value)), patch_id)
+        return
+    for key in _index_keys(value, multi_value):
+        index.insert(key, patch_id)
 
 
 def _index_keys(value, multi_value: bool) -> list:

@@ -6,78 +6,101 @@ another patch ... This information is stored as attributes in the metadata
 key-value dictionary so indexes and queries can be natively supported on
 them."
 
-The :class:`LineageStore` adds the *indexes* over that information:
+Those attributes are columns of every collection's metadata segment
+already — the ``ImgRef`` tuple (source, frame, parent id) and the
+``_lineage`` chain — so :class:`LineageStore` keeps no structure of its
+own. Each query is a pass over the live collections' segment columns
+(no pixel record is read) and answers for the rows those collections
+hold now: a replaced or refreshed collection's old rows are gone from
+its answers as they are from the collection.
 
-* a **base index**: ``(source, frame) -> patch ids`` — the backtracing
+* **by base image**: ``(source, frame) -> patch ids`` — the backtracing
   query "select all raw images that contributed to a patch", inverted, so
   two derived collections can be related through their shared base frames
-  without rescanning base data (q3's 41x win in Figure 4);
-* a **parent index**: ``parent patch id -> child patch ids`` — forward
+  without rescanning base data;
+* **by parent**: ``parent patch id -> child patch ids`` — forward
   traversal of derivations.
 """
 
 from __future__ import annotations
 
-import struct
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.core.patch import Patch
-from repro.errors import LineageError
-from repro.storage.kvstore import BPlusTree, Pager
 
-
-def _pack_id(patch_id: int) -> bytes:
-    return struct.pack(">q", patch_id)
-
-
-def _unpack_id(payload: bytes) -> int:
-    return struct.unpack(">q", payload)[0]
+if TYPE_CHECKING:  # import cycle: the catalog owns the lineage store
+    from repro.core.catalog import Catalog
 
 
 class LineageStore:
-    """Persistent lineage indexes over materialized patches."""
+    """Lineage queries over the catalog's live collections."""
 
-    def __init__(self, pager: Pager) -> None:
-        self._base = BPlusTree(pager, "lineage:base", unique=False)
-        self._parent = BPlusTree(pager, "lineage:parent", unique=False)
+    def __init__(self, catalog: "Catalog") -> None:
+        self._catalog = catalog
 
     def record(self, patch: Patch) -> None:
-        """Register one materialized patch (must have a patch_id)."""
-        if patch.patch_id is None:
-            raise LineageError("cannot record lineage for an unmaterialized patch")
-        source, frame = patch.base_ref()
-        self._base.insert((source, -1 if frame is None else frame), _pack_id(patch.patch_id))
-        if patch.img_ref.parent_id is not None:
-            self._parent.insert(patch.img_ref.parent_id, _pack_id(patch.patch_id))
+        """Check that ``patch`` backtraces to a base image: raises
+        :class:`~repro.errors.LineageError` for a patch with neither a
+        lineage chain nor a frame. ``MaterializedCollection.add`` runs
+        it before its first write, so a rejected patch leaves no trace."""
+        patch.base_ref()
+
+    def _patches(self) -> Iterator[Patch]:
+        """Every live patch, data-less, read off the segments."""
+        catalog = self._catalog
+        for name in catalog.collections():
+            for batch in catalog.collection(name).metadata_batches():
+                yield from batch
 
     # -- queries ------------------------------------------------------------
 
     def patches_from_base(self, source: str, frame: int | None) -> list[int]:
         """Every materialized patch derived from one base image/frame."""
-        key = (source, -1 if frame is None else frame)
-        return [_unpack_id(v) for v in self._base.get(key)]
+        return sorted(
+            patch.patch_id
+            for patch in self._patches()
+            if patch.base_ref() == (source, frame)
+        )
 
     def patches_from_source(
         self, source: str, lo: int | None = None, hi: int | None = None
     ) -> Iterator[tuple[int, int]]:
-        """(frame, patch_id) for a source, optionally bounded by frame range."""
-        lo_key = (source, -1 if lo is None else lo)
-        hi_key = (source, 2**52 if hi is None else hi)
-        for (_, frame), payload in self._base.range(lo_key, hi_key):
-            yield frame, _unpack_id(payload)
+        """(frame, patch_id) for a source, optionally bounded by frame
+        range, in frame order; a frameless patch reports frame -1."""
+        hits = []
+        for patch in self._patches():
+            base_source, frame = patch.base_ref()
+            frame = -1 if frame is None else frame
+            if (
+                base_source == source
+                and (lo is None or lo <= frame)
+                and (hi is None or frame <= hi)
+            ):
+                hits.append((frame, patch.patch_id))
+        yield from sorted(hits)
+
+    def _by_parent(self) -> dict[int, list[int]]:
+        """parent id -> ids of the live patches derived from it."""
+        by_parent: dict[int, list[int]] = {}
+        for patch in self._patches():
+            parent = patch.img_ref.parent_id
+            if parent is not None:
+                by_parent.setdefault(parent, []).append(patch.patch_id)
+        return by_parent
 
     def children(self, patch_id: int) -> list[int]:
         """Patches directly derived from ``patch_id``."""
-        return [_unpack_id(v) for v in self._parent.get(patch_id)]
+        return sorted(self._by_parent().get(patch_id, ()))
 
     def descendants(self, patch_id: int) -> list[int]:
         """Transitive closure of :meth:`children`."""
+        by_parent = self._by_parent()
         out: list[int] = []
         frontier = [patch_id]
         seen = {patch_id}
         while frontier:
             current = frontier.pop()
-            for child in self.children(current):
+            for child in sorted(by_parent.get(current, ())):
                 if child not in seen:
                     seen.add(child)
                     out.append(child)

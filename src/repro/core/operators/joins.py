@@ -96,16 +96,21 @@ class IndexEqJoin(Operator):
     def _pairs(self, size: int) -> Iterator[Row]:
         index = self.right.index(self.right_attr, self.kind)
         cache: dict[int, Patch] = {}
-        for (left_patch,) in rows_of(self.left, size):
-            key = self.left_key(left_patch)
-            if key is None:
-                continue
-            for patch_id in index.lookup(key):
-                if patch_id not in cache:
-                    cache[patch_id] = self.right.get(
-                        patch_id, load_data=self.load_data
-                    )
-                yield (left_patch, cache[patch_id])
+        for batch in self.left.iter_batches(size):
+            probes = [
+                (left_patch, index.lookup(key))
+                for (left_patch,) in batch
+                if (key := self.left_key(left_patch)) is not None
+            ]
+            # one batched fetch per left batch: a point get per match
+            # would decode a segment block (or read a record) per row
+            missing = sorted({i for _, ids in probes for i in ids} - cache.keys())
+            cache.update(
+                zip(missing, self.right.get_many(missing, load_data=self.load_data))
+            )
+            for left_patch, ids in probes:
+                for patch_id in ids:
+                    yield (left_patch, cache[patch_id])
 
 
 class RTreeOverlapJoin(Operator):

@@ -1,13 +1,15 @@
 """Scan-side operators: collection scans, index scans, selection, mapping.
 
-Scans are the leaves of every plan. Four access paths exist for a
-materialized collection, mirroring Section 3.2's index menu:
+Scans are the leaves of every plan. Every read of a materialized
+collection starts at its metadata segment or at an index, mirroring
+Section 3.2's index menu:
 
-* :class:`CollectionScan` — full scan in patch-id order;
-* :class:`MetadataScan` — filter on the metadata segment's columns,
-  rows (or pixel records) for the survivors only;
+* :class:`MetadataScan` — the one scan: filter on the segment's
+  columns (none for a bare scan), rows (or pixel records) for the
+  survivors only, in patch-id order;
 * :class:`IndexLookupScan` — hash/B+ point lookup (``attr == value``);
-* :class:`IndexRangeScan` — B+/sorted-file range (``lo <= attr <= hi``).
+* :class:`IndexRangeScan` — B+/sorted-file range (``lo <= attr <= hi``);
+* :class:`AnnTopKScan` — HNSW / Ball-tree k nearest neighbors.
 
 :class:`Select` filters rows that are already patches: join outputs,
 maps, iterators, opaque predicates and index residuals.
@@ -63,34 +65,13 @@ class IteratorScan(Operator):
         yield from chunked(as_rows(self._patches), size)
 
 
-class CollectionScan(Operator):
-    """Full scan of a materialized collection.
-
-    ``load_data=False`` projects out the pixel/feature payload — correct
-    whenever downstream operators only touch metadata.
-    """
-
-    def __init__(
-        self, collection: MaterializedCollection, *, load_data: bool = True
-    ) -> None:
-        self.collection = collection
-        self.load_data = load_data
-
-    def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[Batch]:
-        # the vectorized storage path: each batch is decoded in one
-        # coalesced heap trip instead of a round-trip per patch
-        for patches in self.collection.scan_batches(
-            size, load_data=self.load_data
-        ):
-            yield [(patch,) for patch in patches]
-
-
 class MetadataScan(Operator):
     """Filter on the metadata segment's columns; materialize last.
 
-    What every structural ``Filter* -> Scan`` group lowers to. Per
-    sealed block that the zone maps cannot rule out, only the columns
-    ``expr`` names are decoded and masked in numpy
+    What a ``Filter* -> Scan`` group no index serves lowers to, with
+    any opaque conjunct in a :class:`Select` above it (``expr=None``:
+    every row). Per sealed block that the zone maps cannot rule out,
+    only the columns ``expr`` names are decoded and masked in numpy
     (:meth:`~repro.core.expressions.Expr.mask`); rows exist only for
     the survivors. ``load_data=False`` builds data-less patches from the
     segment and never touches the patch heap; ``load_data=True`` fetches

@@ -28,7 +28,6 @@ from repro.core.operators import (
     AnnTopKExact,
     AnnTopKScan,
     BallTreeSimilarityJoin,
-    CollectionScan,
     IndexLookupScan,
     IndexRangeScan,
     IteratorScan,
@@ -437,7 +436,7 @@ class _Lowering:
                 )
             else:
                 operator = AnnTopKExact(
-                    CollectionScan(collection, load_data=child.load_data),
+                    MetadataScan(collection, load_data=child.load_data),
                     node.attr,
                     node.query,
                     node.k,
@@ -587,7 +586,6 @@ def _scan_rooted(operator: Operator) -> bool:
     return isinstance(
         current,
         (
-            CollectionScan,
             IndexLookupScan,
             IndexRangeScan,
             IteratorScan,

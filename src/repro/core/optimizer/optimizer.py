@@ -2,9 +2,9 @@
 
 Three decisions, each the subject of one of the paper's experiments:
 
-* **access-path selection** (Figure 4): full scan + filter vs hash lookup
-  vs B+ range scan, driven by the predicate's conjuncts and the catalog's
-  index registry;
+* **access-path selection** (Figure 4): a metadata-segment scan (filter
+  on columns, rows for the survivors) vs hash lookup vs B+ range scan,
+  driven by the predicate's conjuncts and the catalog's index registry;
 * **similarity-join strategy** (Figures 5/7): nested loop vs Ball-tree
   (and which side to index), using the non-linear cost model;
 * **device placement** (Figure 8): CPU/AVX/GPU per kernel profile;
@@ -29,7 +29,6 @@ from repro.core.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.core.expressions import Comparison, Expr, conjunction, extract_bounds
 from repro.core.logical import expr_attrs
 from repro.core.operators import (
-    CollectionScan,
     IndexLookupScan,
     IndexRangeScan,
     MetadataScan,
@@ -218,33 +217,30 @@ class Optimizer:
     ) -> tuple[Operator, Explanation]:
         """Best access path for ``SELECT * FROM collection WHERE expr``.
 
-        The structural conjuncts of ``expr`` (comparisons, BETWEEN and
-        their AND/OR/NOT combinations — everything but an opaque
-        ``Predicate``) are evaluated on the metadata segment's columns
-        by one operator, :class:`~repro.core.operators.MetadataScan`:
-        it decodes only the columns they name, block by block, skips the
-        blocks their zone maps rule out, and materializes the surviving
-        rows only. What is costed is therefore a columns pass plus a
-        per-survivor term:
+        One scan candidate: the structural conjuncts of ``expr``
+        (comparisons, BETWEEN and their AND/OR/NOT combinations —
+        everything but an opaque ``Predicate``; none for a bare scan)
+        are evaluated on the metadata segment's columns by
+        :class:`~repro.core.operators.MetadataScan`: it decodes only the
+        columns they name, block by block, skips the blocks their zone
+        maps rule out, and materializes the surviving rows only. Its
+        cost is a columns pass plus a per-survivor term:
 
         * ``load_data=False`` — ``metadata-scan`` builds data-less
           patches for the survivors (no heap reads at all); it is
           labelled ``zone-map-scan``, and costed on the blocks it will
           read, when the zone maps prove some blocks cannot match;
-        * ``load_data=True`` — ``full-scan`` decodes every pixel record
-          and filters the patches; ``late-materialization`` fetches the
-          survivors' records by id, and is offered whenever the
-          estimate makes it the cheaper of the two.
+        * ``load_data=True`` — ``late-materialization`` fetches the
+          survivors' pixel records by id.
 
-        Index lookups compete with both. An opaque conjunct stays in a
-        ``Select`` above whichever scan wins. Row estimates come from
+        Index lookups compete with it. An opaque conjunct stays in a
+        ``Select`` above whichever path wins. Row estimates come from
         the planning pass's ``estimator``; a direct call is a pass of
         its own.
         """
         estimator = estimator if estimator is not None else self.estimator()
         collection = self.catalog.collection(collection_name)
         n = max(len(collection), 1)
-        candidates: list[tuple[PlanChoice, Operator]] = []
         described = repr(expr) if expr is not None else "scan"
 
         estimate = estimator.selectivity(collection_name, expr)
@@ -254,50 +250,37 @@ class Optimizer:
             f"{collection_name!r}: {described} ~ {est_rows:.0f} of "
             f"{len(collection)} rows ({estimate.source})"
         ]
-        if load_data:
-            scan: Operator = CollectionScan(collection)
-            full_cost = self.cost.full_scan(n)
-            candidates.append(
-                (
-                    PlanChoice("full-scan", full_cost, dict(estimated)),
-                    Select(scan, expr) if expr else scan,
-                )
-            )
         structural, columns, opaque = _split_opaque(expr)
-        if structural is not None or not load_data:
-            kept, total = collection.metadata_block_stats(structural)
-            # rows the scan materializes: an opaque conjunct filters
-            # above it, after the fact
-            survivors = (
-                est_rows
-                if opaque is None
-                else estimator.selectivity(collection_name, structural).rows(
-                    len(collection)
-                )
+        kept, total = collection.metadata_block_stats(structural)
+        # rows the scan materializes: an opaque conjunct filters above
+        # it, after the fact
+        survivors = (
+            est_rows
+            if opaque is None
+            else estimator.selectivity(collection_name, structural).rows(
+                len(collection)
             )
-            params = {**estimated, "columns": columns}
-            if kept < total:
-                params.update(blocks_skipped=total - kept, blocks_total=total)
-                estimates.append(
-                    f"{collection_name!r}: zone maps skip {total - kept} "
-                    f"of {total} blocks for {described}"
-                )
-            if load_data:
-                kind = "late-materialization"
-                cost = self.cost.late_materialization(
-                    kept, len(columns), survivors
-                )
-            else:
-                kind = "zone-map-scan" if kept < total else "metadata-scan"
-                cost = self.cost.metadata_scan(kept, len(columns), survivors)
-            if not load_data or cost < full_cost:
-                scan = MetadataScan(collection, structural, load_data=load_data)
-                candidates.append(
-                    (
-                        PlanChoice(kind, cost, params),
-                        scan if opaque is None else Select(scan, opaque),
-                    )
-                )
+        )
+        params = {**estimated, "columns": columns}
+        if kept < total:
+            params.update(blocks_skipped=total - kept, blocks_total=total)
+            estimates.append(
+                f"{collection_name!r}: zone maps skip {total - kept} "
+                f"of {total} blocks for {described}"
+            )
+        if load_data:
+            kind = "late-materialization"
+            cost = self.cost.late_materialization(kept, len(columns), survivors)
+        else:
+            kind = "zone-map-scan" if kept < total else "metadata-scan"
+            cost = self.cost.metadata_scan(kept, len(columns), survivors)
+        scan: Operator = MetadataScan(collection, structural, load_data=load_data)
+        candidates: list[tuple[PlanChoice, Operator]] = [
+            (
+                PlanChoice(kind, cost, params),
+                scan if opaque is None else Select(scan, opaque),
+            )
+        ]
 
         if expr is not None:
             candidates.extend(

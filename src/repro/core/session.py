@@ -471,6 +471,9 @@ class DeepLens:
 
     @property
     def lineage(self) -> LineageStore:
+        """Lineage queries — patches by base frame, children and
+        descendants by parent id — answered off the live collections'
+        metadata segments, so a replaced row is never in an answer."""
         return self.catalog.lineage
 
     # -- plan quality -----------------------------------------------------

@@ -248,7 +248,8 @@ def shapes(db):
         ("q2", lambda: det().filter(Attr("label") == "vehicle"), count_frames,
          "metadata-scan"),
         # q3: per-clip trajectory — filter, sort
-        ("q3", lambda: det().filter(person).order_by("score"), None, "full-scan"),
+        ("q3", lambda: det().filter(person).order_by("score"), None,
+         "late-materialization"),
         # q4: distinct pedestrians — filter, UDF features, match
         ("q4", lambda: det().filter(person).filter(Attr("score") < 30.0)
          .map(scored, name="scored").similarity_join(
@@ -256,7 +257,7 @@ def shapes(db):
             features=embedding, dim=64,
         ), None, "nested-loop"),
         # q5: first image whose text mentions the target — opaque predicate
-        ("q5", lambda: det().filter(plate).limit(1), None, "full-scan"),
+        ("q5", lambda: det().filter(plate).limit(1), None, "late-materialization"),
         # q6: same-frame pairs, filtered on the right patch after the join
         ("q6", lambda: det().filter(Attr("score") < 20.0).similarity_join(
             other(), threshold=0.5, features=embedding
@@ -273,13 +274,15 @@ def shapes(db):
         ("exact-topk", lambda: other().similarity_search([1.0, 1.0, 1.0, 0.0], 5, attr="emb"),
          None, "exact-topk-scan"),
         ("exact-topk-filtered", lambda: det().filter(person)
-         .similarity_search([1.0, 1.0, 1.0, 0.0], 5, attr="emb"), None, "full-scan"),
+         .similarity_search([1.0, 1.0, 1.0, 0.0], 5, attr="emb"), None,
+         "late-materialization"),
         ("cached-map", lambda: det().filter(Attr("score") < 9.0)
          .map(scored, name="scored", cache=True), None, "late-materialization"),
         ("count", lambda: det().filter(Attr("score").between(10.0, 40.0)),
          ("count", None), "metadata-scan"),
         ("parallel-map", lambda: det().with_execution(workers=2, batch_size=8)
-         .filter(person).map(scored, name="scored"), None, "full-scan"),
+         .filter(person).map(scored, name="scored"), None,
+         "late-materialization"),
     ]
 
 

@@ -393,7 +393,7 @@ class TestDeepLensSession:
         with DeepLens(tmp_path) as db:
             db.materialize(make_patches(6), "c")
             query = db.scan("c").filter(Attr("label") == "person")
-            assert query.explain().chosen.kind == "full-scan"
+            assert query.explain().chosen.kind == "late-materialization"
             assert query.count() == 4
 
     def test_first_and_empty(self, tmp_path):

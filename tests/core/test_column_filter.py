@@ -20,13 +20,8 @@ from hypothesis import strategies as st
 import repro.storage.metadata_segment as seg_mod
 from repro.core import Attr, DeepLens, attribute_key
 from repro.core.catalog import MaterializedCollection
-from repro.core.expressions import And, Between, Comparison, Not, Or
-from repro.core.operators import (
-    AggregateExecution,
-    CollectionScan,
-    MetadataScan,
-    Select,
-)
+from repro.core.expressions import And, Between, Comparison, Not, Or, Predicate
+from repro.core.operators import AggregateExecution, IteratorScan, MetadataScan
 from repro.core.patch import Patch
 from repro.errors import QueryError
 from repro.storage.kvstore import BlobHeap, serialization
@@ -282,6 +277,17 @@ def counter(session, name):
     return session.metrics()["counters"].get(name, 0)
 
 
+def record_rows(collection, expr):
+    """The row-path reference: every heap record, decoded by walking the
+    row tree, filtered with ``Expr.evaluate`` — the segment plays no part."""
+    return [
+        patch
+        for batch in collection._record_batches(7, True)
+        for patch in batch
+        if expr is None or expr.evaluate(patch)
+    ]
+
+
 FILTERS = {
     "none": None,
     "zone": Attr("zone") >= 2,
@@ -305,9 +311,8 @@ def test_column_fold_equals_row_fold(db, kind, where):
     collection = db.collection("det")
     for attr in KEYS[:1] if kind == "count" else KEYS:
         key = None if kind == "count" else attribute_key(attr)
-        scan = CollectionScan(collection)
         rows = AggregateExecution(
-            Select(scan, expr) if expr is not None else scan, kind, key, len
+            IteratorScan(record_rows(collection, expr)), kind, key, len
         )
         query = db.scan("det")
         if expr is not None:
@@ -370,16 +375,26 @@ def signature(patches):
         (Attr("label") == "person") & Attr("zone").between(3, 4),
         Attr("mixed").isin((3, "4")),
         Attr("zone") == 99,
+        Predicate(lambda p: int(p.data.sum()) % 3 == 0, "pixel-sum"),
+        None,
     ],
     ids=repr,
 )
 def test_late_materialization_equals_scan_then_filter(db, expr):
+    """The one scan the planner offers — structural conjuncts on the
+    columns, an opaque one above, nothing for a bare scan — returns the
+    records a row-tree walk + filter returns, pixels included."""
     collection = db.collection("det")
-    reference = Select(CollectionScan(collection), expr).patches()
-    late = MetadataScan(collection, expr, load_data=True)
+    reference = record_rows(collection, expr)
+    late, explanation = db.optimizer.plan_filter("det", expr)
+    assert explanation.chosen.kind == "late-materialization"
+    assert len(explanation.candidates) == 1
     for size in (1, 4, 256):
         got = [row[0] for batch in late.iter_batches(size) for row in batch]
         assert signature(got) == signature(reference)
+    if isinstance(expr, Predicate):
+        assert 0 < len(reference) < N  # the predicate really filters
+        return
     lean = MetadataScan(collection, expr).patches()
     assert all(p.data.size == 0 for p in lean)
     assert [list(p.metadata.items()) for p in lean] == [
@@ -399,9 +414,13 @@ def test_selective_select_star_reads_only_matching_records(db):
     assert [p["opt"] for p in result] == [27.0, 29.0]
     assert all(p.data.shape == (4, 4, 3) for p in result)
     assert reads == len(result) == 2
-    # an unselective filter still decodes every record once and filters
+    # an unselective filter takes the same path: the columns first, then
+    # one record read per survivor (24 of 30), never a record for a miss
     unselective = db.scan("det").filter(Attr("zone") >= 1)
-    assert unselective.explain().chosen.kind == "full-scan"
+    assert unselective.explain().chosen.kind == "late-materialization"
+    before = counter(db, 'deeplens_heap_reads_total{store="blob"}')
+    assert len(unselective.patches()) == 24
+    assert counter(db, 'deeplens_heap_reads_total{store="blob"}') - before == 24
 
 
 def test_count_decodes_one_column_per_surviving_block(db):

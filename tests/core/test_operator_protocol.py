@@ -26,7 +26,6 @@ from repro.core.operators import (
     AnnTopKExact,
     AnnTopKScan,
     BallTreeSimilarityJoin,
-    CollectionScan,
     Distinct,
     IndexEqJoin,
     IndexLookupScan,
@@ -113,7 +112,6 @@ FIXTURES = {
         IteratorScan(list(make_patches())),
         IteratorScan(make_patches()),  # one-shot iterator
     ],
-    "CollectionScan": lambda c, spy: CollectionScan(c),
     "MetadataScan": lambda c, spy: MetadataScan(c, Attr("score") < 12.0),
     "IndexLookupScan": lambda c, spy: IndexLookupScan(c, "label", "person"),
     "IndexRangeScan": lambda c, spy: IndexRangeScan(c, "score", 2.0, 15.0),
@@ -122,49 +120,49 @@ FIXTURES = {
         AnnTopKScan(c, "emb", [1.0, 1.0], 7, "balltree"),
     ],
     "AnnTopKExact": lambda c, spy: AnnTopKExact(
-        spy(CollectionScan(c)), "emb", [1.0, 1.0], 7
+        spy(MetadataScan(c, None)), "emb", [1.0, 1.0], 7
     ),
     "Select": lambda c, spy: Select(
-        spy(CollectionScan(c)), Attr("label") == "person"
+        spy(MetadataScan(c, None)), Attr("label") == "person"
     ),
     "MapPatches": lambda c, spy: [
-        MapPatches(spy(CollectionScan(c)), twin),
+        MapPatches(spy(MetadataScan(c, None)), twin),
         MapPatches(
-            spy(CollectionScan(c)), twin, batch_fn=lambda ps: [twin(p) for p in ps]
+            spy(MetadataScan(c, None)), twin, batch_fn=lambda ps: [twin(p) for p in ps]
         ),
     ],
     "Limit": lambda c, spy: [
-        Limit(spy(CollectionScan(c)), 7),
-        Limit(spy(OrderBy(CollectionScan(c), lambda p: -p["score"])), 7),
+        Limit(spy(MetadataScan(c, None)), 7),
+        Limit(spy(OrderBy(MetadataScan(c, None), lambda p: -p["score"])), 7),
     ],
     "OrderBy": lambda c, spy: OrderBy(
-        spy(CollectionScan(c)), lambda p: p["score"], reverse=True
+        spy(MetadataScan(c, None)), lambda p: p["score"], reverse=True
     ),
-    "Project": lambda c, spy: Project(spy(CollectionScan(c)), ["label"]),
+    "Project": lambda c, spy: Project(spy(MetadataScan(c, None)), ["label"]),
     "Distinct": lambda c, spy: Distinct(
-        spy(CollectionScan(c)), lambda p: p["score"] % 6
+        spy(MetadataScan(c, None)), lambda p: p["score"] % 6
     ),
     "NestedLoopJoin": lambda c, spy: NestedLoopJoin(
-        spy(CollectionScan(c)),
-        spy(CollectionScan(c)),
+        spy(MetadataScan(c, None)),
+        spy(MetadataScan(c, None)),
         lambda a, b: a["label"] == b["label"] and a["score"] < b["score"],
     ),
     "IndexEqJoin": lambda c, spy: IndexEqJoin(
-        spy(CollectionScan(c)),
+        spy(MetadataScan(c, None)),
         c,
         left_key=lambda p: p["label"],
         right_attr="label",
     ),
-    "RTreeOverlapJoin": lambda c, spy: RTreeOverlapJoin(spy(CollectionScan(c)), c),
+    "RTreeOverlapJoin": lambda c, spy: RTreeOverlapJoin(spy(MetadataScan(c, None)), c),
     "BallTreeSimilarityJoin": lambda c, spy: [
         BallTreeSimilarityJoin(
-            spy(CollectionScan(c)),
-            spy(CollectionScan(c)),
+            spy(MetadataScan(c, None)),
+            spy(MetadataScan(c, None)),
             threshold=0.5,
             features=lambda p: p["emb"],
         ),
         BallTreeSimilarityJoin(
-            spy(CollectionScan(c)),
+            spy(MetadataScan(c, None)),
             None,
             threshold=0.5,
             features=lambda p: p["emb"],
@@ -175,13 +173,13 @@ FIXTURES = {
     "SwapSides": lambda c, spy: SwapSides(
         spy(
             NestedLoopJoin(
-                CollectionScan(c),
-                CollectionScan(c),
+                MetadataScan(c, None),
+                MetadataScan(c, None),
                 lambda a, b: a["score"] + 1 == b["score"],
             )
         )
     ),
-    "PrefetchBatches": lambda c, spy: PrefetchBatches(spy(CollectionScan(c)), depth=2),
+    "PrefetchBatches": lambda c, spy: PrefetchBatches(spy(MetadataScan(c, None)), depth=2),
 }
 
 #: the instrumented form of one scan and one breaker: same rows, same
@@ -191,7 +189,7 @@ INSTRUMENTED = {
         IndexRangeScan(c, "score", 2.0, 15.0), as_input=True
     ),
     "instrumented-breaker": lambda c, spy: instrumented(
-        OrderBy(spy(CollectionScan(c)), lambda p: p["score"], reverse=True)
+        OrderBy(spy(MetadataScan(c, None)), lambda p: p["score"], reverse=True)
     ),
 }
 

@@ -225,7 +225,7 @@ class TestExplainAndErrors:
         )
         explanation = query.explain()
         assert any("pushed" in line for line in explanation.rewrites)
-        assert any(c.kind == "full-scan" for c in explanation.candidates)
+        assert any(c.kind == "late-materialization" for c in explanation.candidates)
         text = str(explanation)
         assert "applied rewrites" in text and "logical plan" in text
 

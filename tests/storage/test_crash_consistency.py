@@ -341,7 +341,7 @@ def _tree_shape(tree):
 
 @pytest.mark.parametrize(
     "fillers, splits_root, mode",
-    [(11, True, "torn"), (20, False, "kill")],
+    [(11, True, "torn"), (26, False, "kill")],
     ids=["directory-root-splits-torn", "directory-leaf-splits-kill"],
 )
 def test_crash_while_the_directory_grows_is_all_or_nothing(
